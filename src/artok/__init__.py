@@ -16,8 +16,7 @@ from .eval import (
     compare_grid,
     evaluate_model,
     roundtrip_audit,
-    token_to_word_ratio,
-    unk_rate,
+    train_model,
 )
 from .morphseg import CliticTable, Segmentation, desegment_text, segment_text, segment_word
 from .normalize import NormalizerConfig, Placeholders, normalize
@@ -33,12 +32,6 @@ from .subword import (
     save_model,
     truncate_model,
 )
-from .trainers import (
-    train_bpe,
-    train_bpe_morph,
-    train_from_pretokens,
-    train_wordlevel,
-    train_wordpiece,
-)
+from .trainers import train_from_pretokens
 
 __version__ = "0.1.0"

@@ -30,15 +30,14 @@ from .eval import (
     report_csv,
     report_json,
     report_long_csv,
+    train_model,
 )
 from .morphseg import CliticTable
 from .normalize import NormalizerConfig, normalize
 from .subword import (
     ALL_KINDS,
-    KIND_BPE_MORPH,
     ModelFormatError,
     atomic_write_text,
-    count_pretokens,
     decode,
     encode,
     export_merges_txt,
@@ -46,7 +45,6 @@ from .subword import (
     load_model,
     save_model,
 )
-from .trainers import train_bpe_morph, train_from_pretokens
 
 log = logging.getLogger("artok")
 
@@ -139,6 +137,10 @@ def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
                    help="corpus file format")
     p.add_argument("--no-filter", action="store_true",
                    help="skip document filtering (corpus already filtered)")
+    _add_filter_flags(p)
+
+
+def _add_filter_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--min-chars", type=int, default=50, help="filter: minimum characters")
     p.add_argument("--min-words", type=int, default=5, help="filter: minimum words")
     p.add_argument("--min-arabic-ratio", type=float, default=0.5,
@@ -167,10 +169,7 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=("jsonl", "plain_lines"), default="jsonl")
     p.add_argument("--normalize", action="store_true",
                    help="also apply text normalization to kept documents")
-    p.add_argument("--min-chars", type=int, default=50)
-    p.add_argument("--min-words", type=int, default=5)
-    p.add_argument("--min-arabic-ratio", type=float, default=0.5)
-    p.add_argument("--max-mean-line-words", type=float, default=None)
+    _add_filter_flags(p)
     _add_common_flags(p)
 
     p = sub.add_parser("train", help="train one tokenizer",
@@ -251,15 +250,10 @@ def _apply_config(args, argv: list[str], env_filled: set) -> None:
 def _cmd_preprocess(args) -> int:
     stats = IngestStats()
     path = _require_file(args.input, "input corpus")
-    cfg = FilterConfig(
-        min_chars=args.min_chars,
-        min_words=args.min_words,
-        min_arabic_ratio=args.min_arabic_ratio,
-        max_mean_line_words=args.max_mean_line_words,
-    )
     normalizer = _load_normalizer(args.normalizer)
     lines = []
-    for doc in filter_stream(load_documents(path, args.format, stats), cfg, stats):
+    docs = load_documents(path, args.format, stats)
+    for doc in filter_stream(docs, _filter_config(args), stats):
         text = normalize(doc.text, normalizer) if args.normalize else doc.text
         lines.append(json.dumps(
             {"id": doc.id, "text": text, "source": doc.source}, ensure_ascii=False))
@@ -277,11 +271,7 @@ def _cmd_train(args) -> int:
     if not docs:
         raise DataError("no documents left after filtering")
     started = time.perf_counter()
-    if args.kind == KIND_BPE_MORPH:
-        model = train_bpe_morph(docs, args.vocab, table, normalizer, workers=args.threads)
-    else:
-        pretokens = count_pretokens(docs, args.kind, normalizer, workers=args.threads)
-        model = train_from_pretokens(pretokens, args.kind, args.vocab, normalizer)
+    model = train_model(docs, args.kind, args.vocab, normalizer, table, workers=args.threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.json")

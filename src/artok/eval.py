@@ -20,13 +20,11 @@ from .corpus import Document
 from .morphseg import CliticTable
 from .normalize import NormalizerConfig, normalize
 from .subword import (
+    KIND_BPE,
     KIND_BPE_MORPH,
     UNK_ID,
     ALL_KINDS,
     TokenizerModel,
-    _encode_word,
-    _prepare_encoder,
-    _segment_cached,
     count_pretokens,
     decode,
     encode,
@@ -69,9 +67,10 @@ class ComparisonReport:
 
 
 def _tally(model: TokenizerModel, docs: Iterable[Document]):
-    """Per-word token/unk totals; words attribute [UNK]s to themselves so
-    coverage can count word occurrences that encode cleanly."""
-    _prepare_encoder(model)
+    """Per-word token/unk totals from the same word encoder `encode` uses;
+    words attribute [UNK]s to themselves so coverage can count word
+    occurrences that encode cleanly."""
+    encode_word = model.word_encoder()
     total_words = 0
     total_tokens = 0
     total_unk = 0
@@ -81,36 +80,14 @@ def _tally(model: TokenizerModel, docs: Iterable[Document]):
         words = normalize(doc.text, model.normalizer).split()
         total_words += len(words)
         for word in words:
-            if model.kind == KIND_BPE_MORPH:
-                parts = _segment_cached(word, model.clitic_table, model._seg_cache)
-            else:
-                parts = (word,)
-            word_unk = 0
-            for part in parts:
-                ids, _ = _encode_word(model, part)
-                total_tokens += len(ids)
-                word_unk += sum(1 for i in ids if i == UNK_ID)
+            ids = encode_word(word)
+            total_tokens += len(ids)
+            word_unk = ids.count(UNK_ID)
             total_unk += word_unk
             if word_unk == 0:
                 covered += 1
     elapsed = time.perf_counter() - start
     return total_words, total_tokens, total_unk, covered, elapsed
-
-
-def token_to_word_ratio(model: TokenizerModel, corpus: Iterable[Document]) -> float:
-    """Total emitted tokens over total normalized word count."""
-    words, tokens, _, _, _ = _tally(model, corpus)
-    if words == 0:
-        raise ValueError("corpus has no words after normalization")
-    return tokens / words
-
-
-def unk_rate(model: TokenizerModel, corpus: Iterable[Document]) -> float:
-    """Fraction of emitted tokens that are [UNK]."""
-    words, tokens, unk, _, _ = _tally(model, corpus)
-    if tokens == 0:
-        raise ValueError("corpus emitted no tokens")
-    return unk / tokens
 
 
 def evaluate_model(model: TokenizerModel, corpus: Iterable[Document]) -> MetricsRow:
@@ -141,31 +118,31 @@ def _relative_spread(values: Sequence[float]) -> float:
     return (max(values) - min(values)) / mean if mean else 0.0
 
 
-def train_grid_model(
+def train_model(
+    docs: Iterable[Document],
     kind: str,
     vocab_size: int,
-    train_docs: Sequence[Document],
-    normalizer: NormalizerConfig,
-    clitic_table: CliticTable,
-    pretoken_cache: dict | None = None,
+    normalizer: NormalizerConfig | None = None,
+    clitic_table: CliticTable | None = None,
     workers: int = 1,
+    pretoken_cache: dict | None = None,
 ) -> TokenizerModel:
-    """Train one grid cell; pre-token counts are cached per pre-tokenization
-    family (plain whitespace vs morph-segmented) and shared across kinds."""
+    """Train one tokenizer of any kind from filtered documents.
+
+    Pre-token counts come from count_pretokens (`workers` processes) and
+    training from train_from_pretokens. Counts depend only on the
+    pre-tokenization family (plain whitespace words vs morph segments),
+    so a caller training several kinds on the same documents passes one
+    pretoken_cache dict to count each family once.
+    """
+    normalizer = normalizer or NormalizerConfig()
+    morph = kind == KIND_BPE_MORPH
+    table = (clitic_table or CliticTable()) if morph else None
+    family = KIND_BPE_MORPH if morph else KIND_BPE
     cache = pretoken_cache if pretoken_cache is not None else {}
-    family = "morph" if kind == KIND_BPE_MORPH else "plain"
     if family not in cache:
-        cache[family] = count_pretokens(
-            train_docs,
-            KIND_BPE_MORPH if family == "morph" else "bpe",
-            normalizer,
-            clitic_table if family == "morph" else None,
-            workers=workers,
-        )
-    return train_from_pretokens(
-        cache[family], kind, vocab_size, normalizer,
-        clitic_table if kind == KIND_BPE_MORPH else None,
-    )
+        cache[family] = count_pretokens(docs, family, normalizer, table, workers=workers)
+    return train_from_pretokens(cache[family], kind, vocab_size, normalizer, table)
 
 
 def compare_grid(
@@ -243,9 +220,8 @@ def _cell_model(kind, vocab_size, train_docs, normalizer, clitic_table,
             log.info("loading cached model %s", path)
             return load_model(path)
     log.info("training %s @ %d", kind, vocab_size)
-    model = train_grid_model(
-        kind, vocab_size, train_docs, normalizer, clitic_table,
-        pretoken_cache, workers,
+    model = train_model(
+        train_docs, kind, vocab_size, normalizer, clitic_table, workers, pretoken_cache,
     )
     if models_dir is not None:
         _cache_save(model, models_dir, kind, vocab_size)

@@ -1,11 +1,14 @@
 """Arabic text cleaning as an ordered pipeline of pure string transforms.
 
 Every transform is a pure function; the full pipeline order is fixed
-(markup -> entity placeholders -> tatweel -> diacritics -> digits ->
+(tatweel -> diacritics -> digits -> markup -> entity placeholders ->
 repeat collapsing -> whitespace canonicalization) and each step is gated
-by a config flag. The pipeline is idempotent for every configuration,
-which lets a trained tokenizer re-apply it at encode time without
-tracking whether its input was already cleaned.
+by a config flag. The codepoint deletions and the digit mapping run
+first: they can complete a URL, email or mention ("aـ@b.ab" becomes
+the email "a@b.ab") that only a later entity pass would replace. The
+pipeline is idempotent for every configuration, which lets a trained
+tokenizer re-apply it at encode time without tracking whether its
+input was already cleaned.
 """
 
 from __future__ import annotations
@@ -159,6 +162,12 @@ def normalize(
     runs last regardless of configuration.
     """
     cfg = cfg or NormalizerConfig()
+    if cfg.remove_tatweel:
+        text = remove_tatweel(text)
+    if cfg.remove_diacritics:
+        text = remove_diacritics(text)
+    if cfg.map_digits:
+        text = map_digits(text)
     if cfg.strip_markup:
         text = strip_markup(text)
     if cfg.replace_urls or cfg.replace_mentions or cfg.replace_emails:
@@ -169,12 +178,6 @@ def normalize(
             mentions=cfg.replace_mentions,
             emails=cfg.replace_emails,
         )
-    if cfg.remove_tatweel:
-        text = remove_tatweel(text)
-    if cfg.remove_diacritics:
-        text = remove_diacritics(text)
-    if cfg.map_digits:
-        text = map_digits(text)
     if cfg.collapse_repeats:
         text = collapse_repeats(text, cfg.repeat_cap)
     return _WS_RE.sub(" ", text).strip()

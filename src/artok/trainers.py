@@ -17,7 +17,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .corpus import Document
 from .morphseg import CliticTable
 from .normalize import NormalizerConfig
 from .subword import (
@@ -28,7 +27,6 @@ from .subword import (
     SPECIALS,
     UNK_ID,
     TokenizerModel,
-    count_pretokens,
     merge_output,
     word_symbols,
 )
@@ -396,38 +394,4 @@ def _train_wordlevel(pretokens, vocab_size, normalizer) -> TokenizerModel:
             vocab.append(surface)
     return TokenizerModel(
         kind=KIND_WORDLEVEL, vocab=vocab, merges=[], normalizer=normalizer
-    )
-
-
-def train_bpe(pretokens, vocab_size, normalizer=None) -> TokenizerModel:
-    """Frequency-greedy merge training over whitespace pre-tokens."""
-    return train_from_pretokens(pretokens, KIND_BPE, vocab_size, normalizer)
-
-
-def train_wordpiece(pretokens, vocab_size, normalizer=None) -> TokenizerModel:
-    """Likelihood-score merge training; same loop as BPE, different argmax."""
-    return train_from_pretokens(pretokens, KIND_WORDPIECE, vocab_size, normalizer)
-
-
-def train_wordlevel(pretokens, vocab_size, normalizer=None) -> TokenizerModel:
-    """Frequency-truncated whole-word vocabulary; no merges."""
-    return train_from_pretokens(pretokens, KIND_WORDLEVEL, vocab_size, normalizer)
-
-
-def train_bpe_morph(
-    corpus: Iterable[Document],
-    vocab_size: int,
-    clitic_table: CliticTable | None = None,
-    normalizer: NormalizerConfig | None = None,
-    workers: int = 1,
-) -> TokenizerModel:
-    """BPE over clitic-segmented pre-tokens: '+'-marked segments are the
-    merge units, so no token ever spans a morpheme boundary."""
-    normalizer = normalizer or NormalizerConfig()
-    clitic_table = clitic_table or CliticTable()
-    pretokens = count_pretokens(
-        corpus, KIND_BPE_MORPH, normalizer, clitic_table, workers=workers
-    )
-    return train_from_pretokens(
-        pretokens, KIND_BPE_MORPH, vocab_size, normalizer, clitic_table
     )

@@ -17,7 +17,7 @@ import pytest
 
 from artok.cli import main
 from artok.corpus import FilterConfig, filter_stream, load_documents
-from artok.eval import roundtrip_audit, split_eval_docs, unk_rate
+from artok.eval import evaluate_model, roundtrip_audit, split_eval_docs
 from artok.morphseg import segment_word
 from artok.normalize import (
     NormalizerConfig,
@@ -38,7 +38,7 @@ from artok.subword import (
     word_symbols,
 )
 from artok.synth import build_corpus
-from artok.trainers import train_bpe
+from artok.trainers import train_from_pretokens
 from oracles import oracle_bpe
 
 SIZES = (16000, 28000, 44000)
@@ -152,7 +152,7 @@ def test_c4_bpe_oracle_equivalence():
         assert len(pretokens) <= 50
         base = len(SPECIALS) + len({s for w in pretokens for s in word_symbols(w)})
         target = base + rng.randint(0, 80)
-        model = train_bpe(pretokens, target)
+        model = train_from_pretokens(pretokens, "bpe", target)
         oracle_vocab, oracle_merges = oracle_bpe(pretokens, target)
         assert model.merges == oracle_merges, f"trial {trial}: merge list diverged"
         assert model.vocab == oracle_vocab, f"trial {trial}: vocab diverged"
@@ -187,7 +187,7 @@ def test_c5_roundtrip_10k_documents(filtered_docs, grid):
 
 
 def test_c6_merge_prefix_monotonicity(train_pretokens, grid):
-    small = train_bpe(train_pretokens, SIZES[0])
+    small = train_from_pretokens(train_pretokens, "bpe", SIZES[0])
     big = load_model(grid["out_dir"] / "models" / f"bpe_{SIZES[-1]}.json")
     k = len(small.merges)
     alphabet_len = len(big.vocab) - len(SPECIALS) - len(big.merges)
@@ -281,7 +281,7 @@ def test_c9_wordlevel_unk_monotone(filtered_docs, grid):
     rates = []
     for v in SIZES:
         model = load_model(models_dir / f"wordlevel_{v}.json")
-        rates.append(unk_rate(model, train_docs))
+        rates.append(evaluate_model(model, train_docs).unk_rate)
     assert rates[0] >= rates[1] >= rates[2], f"unk rates not monotone: {rates}"
     print(f"\nACCEPTANCE 9 PASS: word-level training-corpus unk rate non-increasing "
           f"{' >= '.join(f'{r:.4f}' for r in rates)}")

@@ -12,12 +12,10 @@ from artok.eval import (
     report_long_csv,
     roundtrip_audit,
     split_eval_docs,
-    token_to_word_ratio,
-    unk_rate,
+    train_model,
 )
-from artok.normalize import NormalizerConfig
-from artok.subword import count_pretokens, load_model
-from artok.trainers import train_bpe, train_bpe_morph, train_wordlevel
+from artok.subword import load_model
+from artok.trainers import train_from_pretokens
 
 
 def docs(*texts):
@@ -25,46 +23,46 @@ def docs(*texts):
 
 
 def test_wordlevel_ratio_is_exactly_one():
-    model = train_wordlevel(Counter({"كتاب": 3}), 6)
+    model = train_from_pretokens(Counter({"كتاب": 3}), "wordlevel", 6)
     corpus = docs("كتاب جديد كبير", "كتاب اخر")
-    assert token_to_word_ratio(model, corpus) == 1.0
+    assert evaluate_model(model, corpus).token_to_word == 1.0
 
 
 def test_zero_merge_bpe_ratio_is_character_count():
-    model = train_bpe(Counter({"كتاب": 1}), 30)
-    assert token_to_word_ratio(model, docs("كتاب")) == 4.0
+    model = train_from_pretokens(Counter({"كتاب": 1}), "bpe", 30)
+    assert evaluate_model(model, docs("كتاب")).token_to_word == 4.0
 
 
 def test_morph_ratio_counts_words_not_segments():
-    model = train_bpe_morph(docs(*["يتحدثها"] * 3), 60)
+    model = train_model(docs(*["يتحدثها"] * 3), "bpe_morph", 60)
     # two segment tokens over one word
-    assert token_to_word_ratio(model, docs("يتحدثها")) == 2.0
+    assert evaluate_model(model, docs("يتحدثها")).token_to_word == 2.0
 
 
 def test_ratio_rejects_empty_corpus():
-    model = train_wordlevel(Counter({"a": 1}), 6)
+    model = train_from_pretokens(Counter({"a": 1}), "wordlevel", 6)
     with pytest.raises(ValueError):
-        token_to_word_ratio(model, docs(""))
+        evaluate_model(model, docs(""))
 
 
 def test_unk_rate_character_fallback_is_zero():
     corpus = docs("كتاب جديد", "كتاب قديم")
-    model = train_bpe(count_pretokens(corpus, "bpe", NormalizerConfig()), 60)
-    assert unk_rate(model, corpus) == 0.0
+    model = train_model(corpus, "bpe", 60)
+    assert evaluate_model(model, corpus).unk_rate == 0.0
 
 
 def test_unk_rate_wordlevel_oov():
-    model = train_wordlevel(Counter({"كتاب": 3}), 6)
-    assert unk_rate(model, docs("كتاب جديد")) == 0.5
+    model = train_from_pretokens(Counter({"كتاب": 3}), "wordlevel", 6)
+    assert evaluate_model(model, docs("كتاب جديد")).unk_rate == 0.5
 
 
 def test_unk_rate_wordlevel_on_own_vocab_is_zero():
-    model = train_wordlevel(Counter({"كتاب": 3, "جديد": 2}), 7)
-    assert unk_rate(model, docs("كتاب جديد")) == 0.0
+    model = train_from_pretokens(Counter({"كتاب": 3, "جديد": 2}), "wordlevel", 7)
+    assert evaluate_model(model, docs("كتاب جديد")).unk_rate == 0.0
 
 
 def test_coverage_counts_clean_word_occurrences():
-    model = train_wordlevel(Counter({"كتاب": 3}), 6)
+    model = train_from_pretokens(Counter({"كتاب": 3}), "wordlevel", 6)
     row = evaluate_model(model, docs("كتاب جديد كتاب"))
     assert row.coverage == pytest.approx(2 / 3)
     assert row.corpus_words == 3
@@ -137,7 +135,7 @@ def test_compare_grid_annotates_cell_failures(small_corpus):
 
 
 def test_roundtrip_audit_exact_for_char_fallback_bpe(small_corpus):
-    model = train_bpe(count_pretokens(small_corpus, "bpe", NormalizerConfig()), 200)
+    model = train_model(small_corpus, "bpe", 200)
     report = roundtrip_audit(model, small_corpus, sample_n=10, seed=3)
     assert report["checked"] == 10
     assert report["exact"] == 10
@@ -145,14 +143,14 @@ def test_roundtrip_audit_exact_for_char_fallback_bpe(small_corpus):
 
 
 def test_roundtrip_audit_reports_wordlevel_unk_losses(small_corpus):
-    model = train_wordlevel(Counter({"كتاب": 1}), 6)
+    model = train_from_pretokens(Counter({"كتاب": 1}), "wordlevel", 6)
     report = roundtrip_audit(model, small_corpus, sample_n=5, seed=0)
     assert report["exact"] == 0
     assert report["mismatched"][0]["actual"].count("[UNK]") > 0
 
 
 def test_roundtrip_audit_seeded_repeatable(small_corpus):
-    model = train_wordlevel(Counter({"كتاب": 1}), 6)
+    model = train_from_pretokens(Counter({"كتاب": 1}), "wordlevel", 6)
     a = roundtrip_audit(model, small_corpus, sample_n=7, seed=42)
     b = roundtrip_audit(model, small_corpus, sample_n=7, seed=42)
     assert a == b

@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from artok.normalize import (
     NormalizerConfig,
@@ -128,6 +128,10 @@ CONFIGS = st.builds(
 
 @settings(max_examples=200, deadline=None)
 @given(text=ADVERSARIAL, cfg=CONFIGS)
+# a deleted diacritic, tatweel or mapped digit completes a mention/email
+@example(text="@ًك", cfg=NormalizerConfig())
+@example(text="aـ@b.ab", cfg=NormalizerConfig(replace_mentions=False))
+@example(text="x@y٠.zz", cfg=NormalizerConfig(replace_mentions=False))
 def test_normalize_idempotent(text, cfg):
     once = normalize(text, cfg)
     assert normalize(once, cfg) == once

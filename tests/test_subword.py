@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from artok.corpus import Document
+from artok.eval import evaluate_model, train_model
 from artok.morphseg import CliticTable
 from artok.normalize import NormalizerConfig, normalize
 from artok.subword import (
+    ALL_KINDS,
     SPECIALS,
     UNK_ID,
     ModelFormatError,
@@ -23,13 +25,7 @@ from artok.subword import (
     truncate_model,
     word_symbols,
 )
-from artok.trainers import (
-    train_bpe,
-    train_bpe_morph,
-    train_from_pretokens,
-    train_wordlevel,
-    train_wordpiece,
-)
+from artok.trainers import train_from_pretokens
 
 from oracles import oracle_bpe, oracle_wordpiece
 
@@ -65,18 +61,18 @@ def test_count_parallel_matches_sequential():
 
 
 # ---------------------------------------------------------------------------
-# train_bpe
+# bpe training
 
 
 def test_bpe_first_merge_on_repeated_bigram_word():
-    model = train_bpe(Counter({"abab": 5}), 20)
+    model = train_from_pretokens(Counter({"abab": 5}), "bpe", 20)
     assert model.merges[0] == ("a", "##b")
 
 
 def test_bpe_vocab_budget_forces_zero_merges():
     pretokens = Counter({"ab": 3, "ba": 2})
     # alphabet: a, b, ##a, ##b -> 4 symbols
-    model = train_bpe(pretokens, len(SPECIALS) + 4)
+    model = train_from_pretokens(pretokens, "bpe", len(SPECIALS) + 4)
     assert model.merges == []
     assert set(model.vocab) == set(SPECIALS) | {"a", "b", "##a", "##b"}
 
@@ -85,7 +81,7 @@ def test_bpe_matches_oracle_on_classic_corpus():
     pretokens = Counter({"low": 5, "lower": 2, "newest": 6, "widest": 3})
     alphabet = {s for w in pretokens for s in word_symbols(w)}
     target = len(SPECIALS) + len(alphabet) + 10
-    model = train_bpe(pretokens, target)
+    model = train_from_pretokens(pretokens, "bpe", target)
     _, oracle_merges = oracle_bpe(pretokens, target)
     assert len(model.merges) == 10
     assert model.merges == oracle_merges
@@ -93,15 +89,15 @@ def test_bpe_matches_oracle_on_classic_corpus():
 
 def test_bpe_rejects_empty_and_tiny_vocab():
     with pytest.raises(ValueError):
-        train_bpe(Counter(), 100)
+        train_from_pretokens(Counter(), "bpe", 100)
     with pytest.raises(ValueError):
-        train_bpe(Counter({"ab": 1}), len(SPECIALS))
+        train_from_pretokens(Counter({"ab": 1}), "bpe", len(SPECIALS))
 
 
 def test_bpe_alphabet_truncation_maps_rare_symbols_to_unk():
     pretokens = Counter({"aaaa": 50, "aaab": 50, "q": 1})
     # budget of 3 alphabet slots drops the rarest symbol ('q')
-    model = train_bpe(pretokens, len(SPECIALS) + 3)
+    model = train_from_pretokens(pretokens, "bpe", len(SPECIALS) + 3)
     assert "q" not in model.vocab
     enc = encode(model, "q")
     assert enc.tokens == ["[UNK]"]
@@ -109,64 +105,64 @@ def test_bpe_alphabet_truncation_maps_rare_symbols_to_unk():
 
 
 # ---------------------------------------------------------------------------
-# train_wordpiece
+# wordpiece training
 
 
 def test_wordpiece_prefers_high_score_over_high_count():
     # pair (x,##y): count 4, unigrams 4/4 -> 0.25
     # pair (a,##b): count 6, unigrams 100/100 -> 0.0006
     pretokens = Counter({"xy": 4, "ab": 6, "a": 94, "cb": 94})
-    model = train_wordpiece(pretokens, len(SPECIALS) + 7 + 1)
+    model = train_from_pretokens(pretokens, "wordpiece", len(SPECIALS) + 7 + 1)
     assert model.merges[0] == ("x", "##y")
 
 
 def test_wordpiece_single_character_corpus_has_no_merges():
-    model = train_wordpiece(Counter({"a": 10}), 50)
+    model = train_from_pretokens(Counter({"a": 10}), "wordpiece", 50)
     assert model.merges == []
 
 
 def test_wordpiece_deterministic():
     pretokens = Counter({"abc": 4, "abd": 3, "bcd": 2, "cd": 5})
-    a = train_wordpiece(pretokens, 30)
-    b = train_wordpiece(dict(pretokens), 30)
+    a = train_from_pretokens(pretokens, "wordpiece", 30)
+    b = train_from_pretokens(dict(pretokens), "wordpiece", 30)
     assert a == b
 
 
 def test_wordpiece_matches_exact_fraction_oracle():
     pretokens = Counter({"low": 5, "lower": 2, "newest": 6, "widest": 3, "west": 4})
-    model = train_wordpiece(pretokens, 40)
+    model = train_from_pretokens(pretokens, "wordpiece", 40)
     _, oracle_merges = oracle_wordpiece(pretokens, 40)
     assert model.merges == oracle_merges
 
 
 # ---------------------------------------------------------------------------
-# train_wordlevel
+# wordlevel training
 
 
 def test_wordlevel_all_words_fit():
-    model = train_wordlevel(Counter({"a": 3, "b": 1}), 7)
+    model = train_from_pretokens(Counter({"a": 3, "b": 1}), "wordlevel", 7)
     assert model.vocab == list(SPECIALS) + ["a", "b"]
 
 
 def test_wordlevel_tie_break_lexicographic():
-    model = train_wordlevel(Counter({"a": 3, "b": 1, "c": 1}), 6)
+    model = train_from_pretokens(Counter({"a": 3, "b": 1, "c": 1}), "wordlevel", 6)
     assert model.vocab == list(SPECIALS) + ["a"]
-    model7 = train_wordlevel(Counter({"a": 3, "b": 1, "c": 1}), 7)
+    model7 = train_from_pretokens(Counter({"a": 3, "b": 1, "c": 1}), "wordlevel", 7)
     assert model7.vocab == list(SPECIALS) + ["a", "b"]
 
 
 def test_wordlevel_empty_pretokens():
-    model = train_wordlevel(Counter(), 5)
+    model = train_from_pretokens(Counter(), "wordlevel", 5)
     assert model.vocab == list(SPECIALS)
 
 
 # ---------------------------------------------------------------------------
-# train_bpe_morph
+# bpe_morph training
 
 
 def test_morph_merges_never_cross_segment_boundary():
     corpus = docs(*["يتحدثها كثيرا"] * 5)
-    model = train_bpe_morph(corpus, 100)
+    model = train_model(corpus, "bpe_morph", 100)
     # pre-tokens are segments, so no learned token mixes stem and enclitic
     seg_tokens = {"يتحدث", "+ها"}
     for tok in model.vocab[len(SPECIALS):]:
@@ -177,14 +173,14 @@ def test_morph_merges_never_cross_segment_boundary():
 def test_morph_empty_clitic_table_reduces_to_plain_bpe():
     corpus = docs("والكتاب يتحدثها", "كتاب جديد والكتاب")
     empty = CliticTable(proclitics=(), enclitics=())
-    morph = train_bpe_morph(corpus, 60, clitic_table=empty)
-    plain = train_bpe(count_pretokens(corpus, "bpe", NormalizerConfig()), 60)
+    morph = train_model(corpus, "bpe_morph", 60, clitic_table=empty)
+    plain = train_model(corpus, "bpe", 60)
     text = "والكتاب يتحدثها كتاب"
     assert encode(morph, text).tokens == encode(plain, text).tokens
 
 
 def test_morph_marker_symbol_reaches_vocab():
-    model = train_bpe_morph(docs(*["والكتاب"] * 3), 40)
+    model = train_model(docs(*["والكتاب"] * 3), "bpe_morph", 40)
     assert any("+" in tok for tok in model.vocab[len(SPECIALS):])
 
 
@@ -204,7 +200,7 @@ def test_morph_marker_symbol_reaches_vocab():
 )
 def test_bpe_merge_list_matches_oracle(words, extra):
     base = len(SPECIALS) + len({s for w in words for s in word_symbols(w)})
-    model = train_bpe(words, base + extra)
+    model = train_from_pretokens(words, "bpe", base + extra)
     oracle_vocab, oracle_merges = oracle_bpe(words, base + extra)
     assert model.merges == oracle_merges
     assert model.vocab == oracle_vocab
@@ -222,7 +218,7 @@ def test_bpe_merge_list_matches_oracle(words, extra):
 )
 def test_wordpiece_merge_list_matches_oracle(words, extra):
     base = len(SPECIALS) + len({s for w in words for s in word_symbols(w)})
-    model = train_wordpiece(words, base + extra)
+    model = train_from_pretokens(words, "wordpiece", base + extra)
     _, oracle_merges = oracle_wordpiece(words, base + extra)
     assert model.merges == oracle_merges
 
@@ -232,7 +228,7 @@ def test_wordpiece_merge_list_matches_oracle(words, extra):
 
 
 def test_encode_wordlevel_oov_is_unk():
-    model = train_wordlevel(Counter({"كتاب": 3}), 6)
+    model = train_from_pretokens(Counter({"كتاب": 3}), "wordlevel", 6)
     enc = encode(model, "مجهول")
     assert enc.ids == [UNK_ID]
     assert enc.tokens == ["[UNK]"]
@@ -241,7 +237,7 @@ def test_encode_wordlevel_oov_is_unk():
 
 def test_encode_character_fallback_ratio():
     # every pair is a hapax, so the min-frequency rule blocks all merges
-    model = train_bpe(Counter({"كتاب": 1}), 30)
+    model = train_from_pretokens(Counter({"كتاب": 1}), "bpe", 30)
     assert model.merges == []
     enc = encode(model, "كتاب")
     assert enc.tokens == ["ك", "##ت", "##ا", "##ب"]
@@ -266,13 +262,13 @@ def test_encode_wordpiece_unmatchable_word_is_single_unk():
 
 
 def test_encode_ids_and_tokens_mutually_consistent():
-    model = train_bpe(Counter({"كتاب": 5, "كاتب": 3}), 25)
+    model = train_from_pretokens(Counter({"كتاب": 5, "كاتب": 3}), "bpe", 25)
     enc = encode(model, "كتاب كاتب مجهول")
     assert [model.vocab[i] for i in enc.ids] == enc.tokens
 
 
 def test_decode_continuation_concatenation():
-    model = train_bpe(Counter({"يتحدثها": 2}), 60)
+    model = train_from_pretokens(Counter({"يتحدثها": 2}), "bpe", 60)
     tok_to_id = model.token_to_id()
     assert "يتحدثها" in tok_to_id  # fully merged at this budget
     enc = encode(model, "يتحدثها")
@@ -280,42 +276,42 @@ def test_decode_continuation_concatenation():
 
 
 def test_decode_roundtrip_two_words():
-    model = train_bpe(Counter({"كتاب": 2, "جديد": 2}), 40)
+    model = train_from_pretokens(Counter({"كتاب": 2, "جديد": 2}), "bpe", 40)
     enc = encode(model, "كتاب جديد")
     assert decode(model, enc.ids) == "كتاب جديد"
 
 
 def test_decode_morph_inverts_segmentation():
-    model = train_bpe_morph(docs(*["يتحدثها"] * 3), 60)
+    model = train_model(docs(*["يتحدثها"] * 3), "bpe_morph", 60)
     enc = encode(model, "يتحدثها")
     assert decode(model, enc.ids) == "يتحدثها"
 
 
 def test_decode_drops_reserved_tokens_but_keeps_unk():
-    model = train_wordlevel(Counter({"كتاب": 3}), 6)
+    model = train_from_pretokens(Counter({"كتاب": 3}), "wordlevel", 6)
     assert decode(model, [0, 2, 5, 1, 3, 4]) == "كتاب [UNK]"
 
 
 def test_decode_rejects_out_of_range_ids():
-    model = train_wordlevel(Counter({"a": 1}), 6)
+    model = train_from_pretokens(Counter({"a": 1}), "wordlevel", 6)
     with pytest.raises(ValueError):
         decode(model, [99])
 
 
 def test_encode_empty_text():
-    model = train_wordlevel(Counter({"a": 1}), 6)
+    model = train_from_pretokens(Counter({"a": 1}), "wordlevel", 6)
     enc = encode(model, "")
     assert enc.ids == [] and enc.tokens == [] and enc.word_count == 0
 
 
 def test_encode_applies_embedded_normalizer():
-    model = train_bpe(Counter({"محمد": 2}), 30)
+    model = train_from_pretokens(Counter({"محمد": 2}), "bpe", 30)
     enc = encode(model, "<b>مُحَمَّد</b>")
     assert decode(model, enc.ids) == "محمد"
 
 
 def test_morph_word_count_uses_words_not_segments():
-    model = train_bpe_morph(docs(*["والكتاب يتحدثها"] * 4), 80)
+    model = train_model(docs(*["والكتاب يتحدثها"] * 4), "bpe_morph", 80)
     enc = encode(model, "والكتاب يتحدثها")
     assert enc.word_count == 2
     assert len(enc.tokens) >= 4  # segments tokenize separately
@@ -329,19 +325,19 @@ def test_morph_word_count_uses_words_not_segments():
         min_size=1,
         max_size=8,
     ),
-    kind=st.sampled_from(["bpe", "bpe_morph"]),
+    kind=st.sampled_from(ALL_KINDS),
 )
 def test_roundtrip_on_corpus_alphabet_text(corpus, kind):
-    corpus_docs = docs(*corpus)
-    if kind == "bpe_morph":
-        model = train_bpe_morph(corpus_docs, 120)
-    else:
-        model = train_bpe(count_pretokens(corpus_docs, kind, NormalizerConfig()), 120)
+    model = train_model(docs(*corpus), kind, 120)
     for text in corpus:
         expected = normalize(text, model.normalizer)
         enc = encode(model, text)
         assert UNK_ID not in enc.ids
         assert decode(model, enc.ids) == expected
+        # eval tallies tokens with the same word encoder
+        row = evaluate_model(model, docs(text))
+        assert row.corpus_words == enc.word_count
+        assert round(row.token_to_word * row.corpus_words) == len(enc.ids)
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +349,10 @@ def trained_models():
     corpus = docs("والكتاب يتحدثها كثيرا", "كتاب جديد عن المدينة", "يتحدثها كتاب")
     pretokens = count_pretokens(corpus, "bpe", NormalizerConfig())
     return [
-        train_bpe(pretokens, 60),
-        train_wordpiece(pretokens, 60),
-        train_wordlevel(pretokens, 20),
-        train_bpe_morph(corpus, 60),
+        train_from_pretokens(pretokens, "bpe", 60),
+        train_from_pretokens(pretokens, "wordpiece", 60),
+        train_from_pretokens(pretokens, "wordlevel", 20),
+        train_model(corpus, "bpe_morph", 60),
     ]
 
 
@@ -416,7 +412,7 @@ def test_vocab_and_merges_text_exports(tmp_path, trained_models):
 
 def test_empty_merge_list_roundtrips(tmp_path):
     # legitimately merge-free bpe model (tiny corpus) must load back
-    model = train_bpe(Counter({"ab": 1}), 30)
+    model = train_from_pretokens(Counter({"ab": 1}), "bpe", 30)
     assert model.merges == []
     path = tmp_path / "m.json"
     save_model(model, path)
@@ -457,8 +453,8 @@ def test_truncation_equals_direct_training():
 
 def test_merge_prefix_monotonicity_small():
     pretokens = Counter({"وقال": 9, "قالها": 7, "كتاب": 6, "الكتاب": 5, "قلمنا": 4})
-    m_small = train_bpe(pretokens, 35)
-    m_big = train_bpe(pretokens, 50)
+    m_small = train_from_pretokens(pretokens, "bpe", 35)
+    m_big = train_from_pretokens(pretokens, "bpe", 50)
     assert m_big.merges[: len(m_small.merges)] == m_small.merges
     assert m_big.vocab[: len(m_small.vocab)] == m_small.vocab
 
