@@ -321,15 +321,19 @@ def _cmd_encode(args) -> int:
 
 
 def _parse_ids(raw: str) -> list[int]:
+    """A JSON list of ids, an object with an "ids" list (a line of
+    `artok encode` output), or ids separated by commas or spaces. Every
+    id must be a JSON integer: floats, booleans, null and nested lists
+    raise ValueError."""
     raw = raw.strip()
-    if not raw:
-        return []
-    if raw.startswith("[") or raw.startswith("{"):
-        data = json.loads(raw)
-        if isinstance(data, dict):
-            data = data.get("ids", [])
-        return [int(i) for i in data]
-    return [int(tok) for tok in raw.replace(",", " ").split()]
+    if not raw.startswith(("[", "{")):
+        raw = "[" + ",".join(raw.replace(",", " ").split()) + "]"
+    data = json.loads(raw)
+    if isinstance(data, dict):
+        data = data.get("ids", [])
+    if not isinstance(data, list) or not all(type(i) is int for i in data):
+        raise ValueError("ids must be a list of JSON integers")
+    return data
 
 
 def _cmd_decode(args) -> int:

@@ -22,11 +22,7 @@ TATWEEL = "ـ"
 _DIACRITICS_RE = re.compile("[ً-ْٰ]")
 
 # Arabic-Indic and Extended Arabic-Indic digits, positionally onto ASCII.
-_DIGIT_MAP = str.maketrans(
-    "٠١٢٣٤٥٦٧٨٩"
-    "۰۱۲۳۴۵۶۷۸۹",
-    "0123456789" * 2,
-)
+_DIGIT_PAIRS = tuple(zip("٠١٢٣٤٥٦٧٨٩" "۰۱۲۳۴۵۶۷۸۹", "0123456789" * 2))
 
 _TAG_RE = re.compile(r"<[^>]*>")
 # &amp; decoded last so "&amp;lt;" needs a second pass; strip_markup loops
@@ -42,8 +38,6 @@ _ENTITIES = [
 _URL_RE = re.compile(r"(?:[A-Za-z][A-Za-z0-9+.-]*://|www\.)\S+")
 _EMAIL_RE = re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9-]+(?:\.[A-Za-z0-9-]+)*\.[A-Za-z]{2,}")
 _MENTION_RE = re.compile(r"@\w+")
-
-_WS_RE = re.compile(r"\s+")
 
 
 @dataclass
@@ -98,7 +92,12 @@ def remove_diacritics(text: str) -> str:
 
 def map_digits(text: str) -> str:
     """Map Arabic-Indic and Extended Arabic-Indic digits to ASCII 0-9."""
-    return text.translate(_DIGIT_MAP)
+    # str.translate looks every character up in a Python dict; a
+    # containment scan per digit runs in C and most texts hold none.
+    for digit, ascii_digit in _DIGIT_PAIRS:
+        if digit in text:
+            text = text.replace(digit, ascii_digit)
+    return text
 
 
 def strip_markup(text: str) -> str:
@@ -180,4 +179,6 @@ def normalize(
         )
     if cfg.collapse_repeats:
         text = collapse_repeats(text, cfg.repeat_cap)
-    return _WS_RE.sub(" ", text).strip()
+    # str.split() splits on exactly the characters re's \s matches, so
+    # this equals replacing \s+ runs with one space and trimming.
+    return " ".join(text.split())

@@ -219,8 +219,9 @@ def _wordpiece_pieces(word: str, vocab: dict) -> list[str]:
 
 
 class _WordEncoder:
-    """Encode-time state of one model: token ids, merge ranks and a
-    word -> ids cache.
+    """Encode-time state of one model: token ids, merge ranks, a
+    word -> ids cache and, once the model first decodes, an id -> piece
+    table.
 
     bpe_morph encodes a missed word segment by segment through a second
     table keyed by segment, so a stem seen under other clitics is not
@@ -231,10 +232,38 @@ class _WordEncoder:
     def __init__(self, model: TokenizerModel):
         self.kind = model.kind
         self.clitic_table = model.clitic_table
+        self.vocab = model.vocab
+        self.specials = model.specials
         self.token_ids = {tok: i for i, tok in enumerate(model.vocab)}
         self.ranks = {tuple(m): r for r, m in enumerate(model.merges)}
         self.cache: dict[str, list[int]] = {}
         self.segment_ids: dict[str, list[int]] = {}
+        self._decode_table: tuple[list[str], list[int | None]] | None = None
+
+    def decode_table(self) -> tuple[list[str], list[int | None]]:
+        """(pieces, lead_cut), indexed by id: the piece decode joins,
+        and how many leading characters to cut when the id is the first
+        one kept. A word-start token's piece is " " + token and cuts 1;
+        a continuation's is the token without its prefix and cuts 0 (it
+        opens the first word bare, even when empty); a dropped reserved
+        token's is "" and cuts None. Built on first use, so loading and
+        encoding never pay for it."""
+        if self._decode_table is None:
+            dropped = set(self.specials) - {UNK_TOKEN}
+            pieces: list[str] = []
+            lead_cut: list[int | None] = []
+            for tok in self.vocab:
+                if tok in dropped:
+                    pieces.append("")
+                    lead_cut.append(None)
+                elif tok.startswith(CONT_PREFIX):
+                    pieces.append(tok[len(CONT_PREFIX):])
+                    lead_cut.append(0)
+                else:
+                    pieces.append(" " + tok)
+                    lead_cut.append(1)
+            self._decode_table = (pieces, lead_cut)
+        return self._decode_table
 
     def encode(self, word: str) -> list[int]:
         ids = self.cache.get(word)
@@ -265,34 +294,30 @@ class _WordEncoder:
 
 def encode(model: TokenizerModel, text: str) -> Encoding:
     """Normalize, pre-tokenize and tokenize text with a trained model."""
-    encode_word = model.word_encoder()
+    encoder = model._encoder_state()
+    cache = encoder.cache
     words = normalize(text, model.normalizer).split()
     ids: list[int] = []
     for word in words:
-        ids.extend(encode_word(word))
-    vocab = model.vocab
-    return Encoding(ids=ids, tokens=[vocab[i] for i in ids], word_count=len(words))
+        ids += cache.get(word) or encoder.encode(word)
+    return Encoding(ids=ids, tokens=list(map(model.vocab.__getitem__, ids)),
+                    word_count=len(words))
 
 
 def decode(model: TokenizerModel, ids: Iterable[int]) -> str:
     """Map ids back to text: continuations glue to the previous piece,
     other tokens join with single spaces, reserved tokens other than
     [UNK] drop, and morph segment markers are resolved afterwards."""
-    dropped = set(model.specials) - {UNK_TOKEN}
-    pieces: list[str] = []
+    pieces, lead_cut = model._encoder_state().decode_table()
+    ids = list(ids)
+    if ids and (min(ids) < 0 or max(ids) >= len(pieces)):
+        bad = next(i for i in ids if not 0 <= i < len(pieces))
+        raise ValueError(f"token id out of range: {bad}")
+    text = "".join(map(pieces.__getitem__, ids))
     for i in ids:
-        if not 0 <= i < len(model.vocab):
-            raise ValueError(f"token id out of range: {i}")
-        tok = model.vocab[i]
-        if tok in dropped:
-            continue
-        if tok.startswith(CONT_PREFIX) and pieces:
-            pieces[-1] += tok[len(CONT_PREFIX):]
-        elif tok.startswith(CONT_PREFIX):
-            pieces.append(tok[len(CONT_PREFIX):])
-        else:
-            pieces.append(tok)
-    text = " ".join(pieces)
+        if lead_cut[i] is not None:
+            text = text[lead_cut[i]:]
+            break
     if model.kind == KIND_BPE_MORPH:
         text = desegment_text(text)
     return text

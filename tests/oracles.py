@@ -1,14 +1,24 @@
-"""Independent brute-force trainers used as oracles.
+"""Independent reference implementations used as oracles.
 
-These recount every pair from scratch each round and never share code
-with the incremental engine, so agreement between the two is a real
-check, not a tautology.
+The brute-force trainers recount every pair from scratch each round and
+never share code with the incremental engine, so agreement between the
+two is a real check, not a tautology. oracle_decode is the token-by-token
+decode that reads each token's role from its string, kept as the
+reference for the table decode in artok.subword.
 """
 
 from collections import Counter
 from fractions import Fraction
 
-from artok.subword import SPECIALS, merge_output, word_symbols
+from artok.morphseg import desegment_text
+from artok.subword import (
+    CONT_PREFIX,
+    KIND_BPE_MORPH,
+    SPECIALS,
+    UNK_TOKEN,
+    merge_output,
+    word_symbols,
+)
 
 MIN_PAIR_FREQ = 2
 
@@ -95,3 +105,27 @@ def oracle_wordpiece(pretokens, vocab_size, min_pair_freq=MIN_PAIR_FREQ):
         for word in state:
             state[word] = _apply(state[word], pair, merged)
     return vocab, merges
+
+
+def oracle_decode(model, ids):
+    """Map ids back to text: continuations glue to the previous piece,
+    other tokens join with single spaces, reserved tokens other than
+    [UNK] drop, and morph segment markers are resolved afterwards."""
+    dropped = set(model.specials) - {UNK_TOKEN}
+    pieces: list[str] = []
+    for i in ids:
+        if not 0 <= i < len(model.vocab):
+            raise ValueError(f"token id out of range: {i}")
+        tok = model.vocab[i]
+        if tok in dropped:
+            continue
+        if tok.startswith(CONT_PREFIX) and pieces:
+            pieces[-1] += tok[len(CONT_PREFIX):]
+        elif tok.startswith(CONT_PREFIX):
+            pieces.append(tok[len(CONT_PREFIX):])
+        else:
+            pieces.append(tok)
+    text = " ".join(pieces)
+    if model.kind == KIND_BPE_MORPH:
+        text = desegment_text(text)
+    return text

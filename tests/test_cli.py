@@ -114,6 +114,17 @@ def test_encode_decode_file_io(tmp_path, corpus_path, capsys):
     assert len(out.strip().split("\n")) == 2
 
 
+def test_decode_rejects_ids_that_are_not_json_integers(tmp_path, corpus_path, capsys):
+    model_dir = tmp_path / "m"
+    run(capsys, "train", "--corpus", str(corpus_path), "--kind", "wordlevel",
+        "--vocab", "300", "--out", str(model_dir))
+    for raw in ("[[5]]", '{"ids": null}', "[5.7, true]", "[true]", "5 x", "1e2"):
+        rc, out, _ = run(capsys, "decode", "--model", str(model_dir / "model.json"),
+                         "--ids", raw)
+        assert rc == 2, raw
+        assert out == "", raw
+
+
 def test_eval_command(tmp_path, corpus_path, capsys):
     model_dir = tmp_path / "m"
     run(capsys, "train", "--corpus", str(corpus_path), "--kind", "wordlevel",

@@ -1,4 +1,5 @@
 import re
+import unicodedata
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -103,7 +104,8 @@ def test_placeholders_are_fixed_points():
 
 ADVERSARIAL = st.lists(
     st.sampled_from(
-        list("كتابمحمدالهوي") + DIACRITICS + list("ـ٠٢٣456<>&;/@.w ابab!ه\n\t")
+        list("كتابمحمدالهوي") + DIACRITICS + list("ـ٠٢٣۴۹456<>&;/@.w ابab!ه\n\t")
+        + ["\u00a0", "\u2028", "\x1c", "\u3000"]
         + ["&amp;", "&lt;", "<b>", "www.", "http://", "@u", "x@y.zz"]
     ),
     max_size=12,
@@ -164,7 +166,9 @@ def test_sub_ops_touch_only_their_codepoints(text):
     mapped = map_digits(text)
     assert len(mapped) == len(text)
     for before, after in zip(text, mapped):
-        if before not in "٠١٢٣٤٥٦٧٨٩۰۱۲۳۴۵۶۷۸۹":
+        if before in "٠١٢٣٤٥٦٧٨٩۰۱۲۳۴۵۶۷۸۹":
+            assert after == str(unicodedata.digit(before))
+        else:
             assert after == before
 
 

@@ -27,7 +27,7 @@ from artok.subword import (
 )
 from artok.trainers import train_from_pretokens
 
-from oracles import oracle_bpe, oracle_wordpiece
+from oracles import oracle_bpe, oracle_decode, oracle_wordpiece
 
 
 def docs(*texts):
@@ -294,8 +294,42 @@ def test_decode_drops_reserved_tokens_but_keeps_unk():
 
 def test_decode_rejects_out_of_range_ids():
     model = train_from_pretokens(Counter({"a": 1}), "wordlevel", 6)
-    with pytest.raises(ValueError):
-        decode(model, [99])
+    for ids in ([99], [-1]):
+        with pytest.raises(ValueError):
+            decode(model, ids)
+
+
+@pytest.fixture(scope="module")
+def decode_models():
+    corpus = docs("والكتاب يتحدثها كثيرا", "وكتب كتاب جديد عن المدينة", "يتحدثها كتاب")
+    return {kind: train_model(corpus, kind, 60) for kind in ALL_KINDS}
+
+
+def test_decode_bare_continuation_starts_an_empty_word():
+    # "##" continues nothing at the start, so it opens an empty first word
+    vocab = list(SPECIALS) + ["#", "###", "##", "c"]
+    model = TokenizerModel(kind="wordpiece", vocab=vocab, merges=[],
+                           normalizer=NormalizerConfig())
+    for ids in ([7, 8], [0, 7, 8], [6, 7, 8], [8, 7, 6, 5]):
+        assert decode(model, ids) == oracle_decode(model, ids)
+    assert decode(model, [7, 8]) == " c"
+
+
+def test_decode_morph_dangling_markers_match_oracle(decode_models):
+    model = decode_models["bpe_morph"]
+    tok_to_id = model.token_to_id()
+    pro, enc, plus = tok_to_id["و+"], tok_to_id["+ها"], tok_to_id["+"]
+    for ids in ([enc], [pro], [enc, pro], [0, enc, 2], [pro, 0], [pro, pro, enc],
+                [plus, enc], [pro, plus], []):
+        assert decode(model, ids) == oracle_decode(model, ids)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_decode_matches_oracle_on_any_ids(decode_models, data):
+    model = decode_models[data.draw(st.sampled_from(ALL_KINDS))]
+    ids = data.draw(st.lists(st.integers(0, model.vocab_size - 1), max_size=12))
+    assert decode(model, ids) == oracle_decode(model, ids)
 
 
 def test_encode_empty_text():
