@@ -7,7 +7,8 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 Path flags can also come from the environment (ARTOK_CORPUS, ARTOK_MODEL,
 ARTOK_OUT, ARTOK_OUT_DIR, ARTOK_CONFIG, ARTOK_CLITIC_TABLE,
 ARTOK_NORMALIZER); explicit flags beat the environment, which beats the
-config file.
+config file. A variable or config key for a flag the command does not
+take is ignored, so one config file can serve every command.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .morphseg import CliticTable
 from .normalize import NormalizerConfig, normalize
 from .subword import (
     ALL_KINDS,
-    ModelFormatError,
     atomic_write_text,
     decode,
     encode,
@@ -94,6 +94,17 @@ def _summary(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, ensure_ascii=False) + "\n")
 
 
+def _write_lines(args, lines: list[str]) -> None:
+    """Write result lines to --output atomically and print a summary, or
+    else print the lines themselves."""
+    content = "".join(line + "\n" for line in lines)
+    if args.output:
+        atomic_write_text(args.output, content)
+        _summary({"command": args.command, "lines": len(lines), "output": args.output})
+    else:
+        sys.stdout.write(content)
+
+
 def _require_file(path: str, what: str) -> Path:
     p = Path(path)
     if not p.is_file():
@@ -123,12 +134,12 @@ def _filter_config(args) -> FilterConfig:
     )
 
 
-def _read_corpus(args, stats: IngestStats | None = None) -> list:
+def _read_corpus(args) -> list:
     path = _require_file(args.corpus, "corpus")
-    docs = load_documents(path, args.format, stats)
+    docs = load_documents(path, args.format)
     if args.no_filter:
         return list(docs)
-    return list(filter_stream(docs, _filter_config(args), stats))
+    return list(filter_stream(docs, _filter_config(args)))
 
 
 def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
@@ -149,12 +160,12 @@ def _add_filter_flags(p: argparse.ArgumentParser) -> None:
                    help="filter: reject docs whose mean words-per-line falls below this")
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=None, help="JSON config file; explicit flags win")
-    p.add_argument("--normalizer", default=None, help="JSON file with normalizer settings")
-    p.add_argument("--clitic-table", default=None, help="JSON clitic table file")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed for sampled operations")
-    p.add_argument("--threads", type=int, default=1, help="worker processes for counting")
+# Settings several subcommands read; each command takes only the ones it reads.
+_SHARED_FLAGS = {
+    "--normalizer": dict(default=None, help="JSON file with normalizer settings"),
+    "--clitic-table": dict(default=None, help="JSON clitic table file"),
+    "--threads": dict(type=int, default=1, help="worker processes for counting"),
+}
 
 
 def build_parser() -> _Parser:
@@ -162,63 +173,59 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("preprocess", help="filter a raw corpus into clean JSONL",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    def add_command(name: str, help_text: str, *shared: str) -> _Parser:
+        p = sub.add_parser(name, help=help_text,
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.add_argument("--config", default=None, help="JSON config file; explicit flags win")
+        for flag in shared:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
+        return p
+
+    p = add_command("preprocess", "filter a raw corpus into clean JSONL", "--normalizer")
     p.add_argument("--input", required=True, help="raw corpus file")
     p.add_argument("--output", required=True, help="filtered JSONL output path")
     p.add_argument("--format", choices=("jsonl", "plain_lines"), default="jsonl")
     p.add_argument("--normalize", action="store_true",
                    help="also apply text normalization to kept documents")
     _add_filter_flags(p)
-    _add_common_flags(p)
 
-    p = sub.add_parser("train", help="train one tokenizer",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = add_command("train", "train one tokenizer",
+                    "--normalizer", "--clitic-table", "--threads")
     _add_corpus_flags(p)
     p.add_argument("--kind", required=True, choices=ALL_KINDS)
     p.add_argument("--vocab", required=True, type=int, help="vocabulary size")
     p.add_argument("--out", default=None, help="output directory for the model bundle")
-    _add_common_flags(p)
 
-    p = sub.add_parser("encode", help="tokenize text with a trained model",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = add_command("encode", "tokenize text with a trained model")
     p.add_argument("--model", default=None, help="model bundle path")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--text", help="inline text to encode")
     src.add_argument("--input", help="file with one text per line")
     p.add_argument("--output", default=None, help="output file (default: stdout)")
-    _add_common_flags(p)
 
-    p = sub.add_parser("decode", help="turn token ids back into text",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = add_command("decode", "turn token ids back into text")
     p.add_argument("--model", default=None, help="model bundle path")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--ids", help="inline comma/space-separated token ids")
     src.add_argument("--input", help="file with one id list per line (JSON or comma-separated)")
     p.add_argument("--output", default=None, help="output file (default: stdout)")
-    _add_common_flags(p)
 
-    p = sub.add_parser("eval", help="compute metrics for one model on a corpus",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = add_command("eval", "compute metrics for one model on a corpus")
     p.add_argument("--model", default=None, help="model bundle path")
     _add_corpus_flags(p)
     p.add_argument("--output", default=None, help="also write a one-row CSV here")
-    _add_common_flags(p)
 
-    p = sub.add_parser("compare", help="train and evaluate the full kind x size grid",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = add_command("compare", "train and evaluate the full kind x size grid",
+                    "--normalizer", "--clitic-table", "--threads")
     _add_corpus_flags(p)
     p.add_argument("--kinds", default=",".join(ALL_KINDS),
                    help="comma-separated tokenizer kinds")
     p.add_argument("--sizes", default=",".join(str(s) for s in DEFAULT_SIZES),
                    help="comma-separated vocabulary sizes")
     p.add_argument("--out-dir", default=None, help="directory for reports and model cache")
-    _add_common_flags(p)
 
-    p = sub.add_parser("dump-clitics", help="write the active clitic table as JSON",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = add_command("dump-clitics", "write the active clitic table as JSON", "--clitic-table")
     p.add_argument("--output", default=None, help="output file (default: stdout)")
-    _add_common_flags(p)
 
     return parser
 
@@ -302,35 +309,25 @@ def _cmd_encode(args) -> int:
         )
 
     if args.text is not None:
-        out_line = encode_line(args.text)
-        if args.output:
-            atomic_write_text(args.output, out_line + "\n")
-            _summary({"command": "encode", "lines": 1, "output": args.output})
-        else:
-            sys.stdout.write(out_line + "\n")
-        return 0
-    with open(_require_file(args.input, "input file"), encoding="utf-8") as f:
-        out_lines = [encode_line(line.rstrip("\n")) for line in f]
-    if args.output:
-        atomic_write_text(args.output, "".join(line + "\n" for line in out_lines))
-        _summary({"command": "encode", "lines": len(out_lines), "output": args.output})
+        texts = [args.text]
     else:
-        for line in out_lines:
-            sys.stdout.write(line + "\n")
+        with open(_require_file(args.input, "input file"), encoding="utf-8") as f:
+            texts = [line.rstrip("\n") for line in f]
+    _write_lines(args, [encode_line(text) for text in texts])
     return 0
 
 
 def _parse_ids(raw: str) -> list[int]:
     """A JSON list of ids, an object with an "ids" list (a line of
     `artok encode` output), or ids separated by commas or spaces. Every
-    id must be a JSON integer: floats, booleans, null and nested lists
-    raise ValueError."""
+    id must be a JSON integer: floats, booleans, null, nested lists and
+    an object without an "ids" list raise ValueError."""
     raw = raw.strip()
     if not raw.startswith(("[", "{")):
         raw = "[" + ",".join(raw.replace(",", " ").split()) + "]"
     data = json.loads(raw)
     if isinstance(data, dict):
-        data = data.get("ids", [])
+        data = data.get("ids")
     if not isinstance(data, list) or not all(type(i) is int for i in data):
         raise ValueError("ids must be a list of JSON integers")
     return data
@@ -344,21 +341,16 @@ def _cmd_decode(args) -> int:
         try:
             ids = _parse_ids(raw)
             text = decode(model, ids)
-        except (ValueError, json.JSONDecodeError) as exc:
+        except ValueError as exc:
             raise DataError(f"bad id list {raw!r}: {exc}") from exc
         return json.dumps({"text": text}, ensure_ascii=False)
 
     if args.ids is not None:
-        out_lines = [decode_line(args.ids)]
+        raws = [args.ids]
     else:
         with open(_require_file(args.input, "input file"), encoding="utf-8") as f:
-            out_lines = [decode_line(line) for line in f if line.strip()]
-    if args.output:
-        atomic_write_text(args.output, "".join(line + "\n" for line in out_lines))
-        _summary({"command": "decode", "lines": len(out_lines), "output": args.output})
-    else:
-        for line in out_lines:
-            sys.stdout.write(line + "\n")
+            raws = [line for line in f if line.strip()]
+    _write_lines(args, [decode_line(raw) for raw in raws])
     return 0
 
 
@@ -453,13 +445,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"artok {args.command}: error: {exc}\n")
         return 1
-    except DataError as exc:
-        log.error("%s", exc)
-        return 2
-    except (FileNotFoundError, ModelFormatError, json.JSONDecodeError) as exc:
-        log.error("%s", exc)
-        return 2
-    except ValueError as exc:
+    except (DataError, FileNotFoundError, ValueError) as exc:
+        # ModelFormatError and json.JSONDecodeError are ValueErrors
         log.error("%s", exc)
         return 2
 

@@ -17,9 +17,9 @@ import os
 import tempfile
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, ClassVar, Iterable
 
 from .corpus import Document
 from .morphseg import CliticTable, desegment_text, segment_word, _segmentable
@@ -62,10 +62,12 @@ class TokenizerModel:
     merges: list[tuple[str, str]]
     normalizer: NormalizerConfig
     clitic_table: CliticTable | None = None
-    specials: tuple[str, ...] = SPECIALS
-    continuation_prefix: str = CONT_PREFIX
-    # Encode-time state, built on first use; never serialized.
-    _encoder: "_WordEncoder" = field(default=None, repr=False, compare=False)
+    # The same for every model: bundles record them and load_model checks them.
+    specials: ClassVar[tuple[str, ...]] = SPECIALS
+    continuation_prefix: ClassVar[str] = CONT_PREFIX
+    # Encode-time state, built on first use; never serialized, and never
+    # copied by dataclasses.replace.
+    _encoder: "_WordEncoder" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
@@ -116,15 +118,13 @@ def _segments(word: str, table: CliticTable) -> list[str]:
     return segment_word(word, table).segments if _segmentable(word) else [word]
 
 
-def _count_shard(texts: list[str], kind: str, normalizer_dict: dict,
-                 table_dict: dict | None) -> Counter:
-    normalizer = NormalizerConfig.from_dict(normalizer_dict)
+def _count_shard(texts: list[str], kind: str, normalizer: NormalizerConfig,
+                 table: CliticTable | None) -> Counter:
     words: Counter = Counter()
     for text in texts:
         words.update(normalize(text, normalizer).split())
     if kind != KIND_BPE_MORPH:
         return words
-    table = CliticTable.from_dict(table_dict)
     segments: Counter = Counter()
     for word, n in words.items():
         for seg in _segments(word, table):
@@ -149,7 +149,7 @@ def count_pretokens(
     if kind == KIND_BPE_MORPH and clitic_table is None:
         raise ValueError("bpe_morph pretokenization requires a clitic table")
     texts = [doc.text for doc in corpus]
-    args = (kind, normalizer.to_dict(), clitic_table.to_dict() if clitic_table else None)
+    args = (kind, normalizer, clitic_table)
     workers = min(workers, len(texts))
     if workers <= 1:
         return _count_shard(texts, *args)
@@ -233,7 +233,6 @@ class _WordEncoder:
         self.kind = model.kind
         self.clitic_table = model.clitic_table
         self.vocab = model.vocab
-        self.specials = model.specials
         self.token_ids = {tok: i for i, tok in enumerate(model.vocab)}
         self.ranks = {tuple(m): r for r, m in enumerate(model.merges)}
         self.cache: dict[str, list[int]] = {}
@@ -249,7 +248,7 @@ class _WordEncoder:
         token's is "" and cuts None. Built on first use, so loading and
         encoding never pay for it."""
         if self._decode_table is None:
-            dropped = set(self.specials) - {UNK_TOKEN}
+            dropped = set(SPECIALS) - {UNK_TOKEN}
             pieces: list[str] = []
             lead_cut: list[int | None] = []
             for tok in self.vocab:
@@ -396,6 +395,11 @@ def load_model(path: str | Path) -> TokenizerModel:
         raise ModelFormatError("model bundle checksum mismatch")
     if data.get("kind") != KIND_WORDLEVEL and "merges" not in data:
         raise ModelFormatError(f"kind {data.get('kind')!r} requires a merge list")
+    if data.get("specials") != list(SPECIALS) or data.get("continuation_prefix") != CONT_PREFIX:
+        raise ModelFormatError(
+            f"bundle must use the reserved tokens {list(SPECIALS)} "
+            f"and the continuation prefix {CONT_PREFIX!r}"
+        )
     try:
         model = TokenizerModel(
             kind=data["kind"],
@@ -406,8 +410,6 @@ def load_model(path: str | Path) -> TokenizerModel:
                 CliticTable.from_dict(data["clitic_table"])
                 if data.get("clitic_table") else None
             ),
-            specials=tuple(data["specials"]),
-            continuation_prefix=data["continuation_prefix"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model bundle: {exc}") from exc
@@ -432,33 +434,15 @@ def truncate_model(model: TokenizerModel, vocab_size: int) -> TokenizerModel:
     Valid because merge selection never depends on the target size: the
     smaller model's vocab and merge list are exact prefixes.
     """
-    if vocab_size >= len(model.vocab):
-        return TokenizerModel(
-            kind=model.kind, vocab=list(model.vocab), merges=list(model.merges),
-            normalizer=model.normalizer, clitic_table=model.clitic_table,
-            specials=model.specials, continuation_prefix=model.continuation_prefix,
-        )
     if model.kind == KIND_WORDLEVEL:
         # frequency-ranked vocab: the prefix is exactly the smaller model
-        if vocab_size < len(model.specials):
+        floor = len(SPECIALS)
+        if vocab_size < floor:
             raise ValueError("cannot truncate below the reserved tokens")
-        return TokenizerModel(
-            kind=model.kind, vocab=list(model.vocab[:vocab_size]), merges=[],
-            normalizer=model.normalizer, clitic_table=model.clitic_table,
-            specials=model.specials, continuation_prefix=model.continuation_prefix,
-        )
-    alphabet_len = len(model.vocab) - len(model.specials) - len(model.merges)
-    n_merges = vocab_size - len(model.specials) - alphabet_len
-    if n_merges < 0:
-        raise ValueError(
-            f"cannot truncate below specials + alphabet ({len(model.specials) + alphabet_len})"
-        )
-    return TokenizerModel(
-        kind=model.kind,
-        vocab=list(model.vocab[:vocab_size]),
-        merges=list(model.merges[:n_merges]),
-        normalizer=model.normalizer,
-        clitic_table=model.clitic_table,
-        specials=model.specials,
-        continuation_prefix=model.continuation_prefix,
-    )
+    else:
+        # specials and alphabet come first, then one vocab entry per merge
+        floor = len(model.vocab) - len(model.merges)
+        if vocab_size < floor:
+            raise ValueError(f"cannot truncate below specials + alphabet ({floor})")
+    return replace(model, vocab=model.vocab[:vocab_size],
+                   merges=model.merges[:vocab_size - floor])

@@ -208,7 +208,7 @@ def test_c7_training_determinism(work_dir, capsys):
             rc = main([
                 "train", "--corpus", str(corpus), "--kind", kind,
                 "--vocab", "3000", "--out", str(out),
-                "--seed", "0", "--threads", str(threads),
+                "--threads", str(threads),
             ])
             capsys.readouterr()
             assert rc == 0

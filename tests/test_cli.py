@@ -15,6 +15,14 @@ def corpus_path(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def wordlevel_model(corpus_path, tmp_path_factory):
+    model_dir = tmp_path_factory.mktemp("model") / "m"
+    assert main(["train", "--corpus", str(corpus_path), "--kind", "wordlevel",
+                 "--vocab", "300", "--out", str(model_dir)]) == 0
+    return model_dir / "model.json"
+
+
 def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
@@ -118,7 +126,8 @@ def test_decode_rejects_ids_that_are_not_json_integers(tmp_path, corpus_path, ca
     model_dir = tmp_path / "m"
     run(capsys, "train", "--corpus", str(corpus_path), "--kind", "wordlevel",
         "--vocab", "300", "--out", str(model_dir))
-    for raw in ("[[5]]", '{"ids": null}', "[5.7, true]", "[true]", "5 x", "1e2"):
+    for raw in ("[[5]]", '{"ids": null}', "[5.7, true]", "[true]", "5 x", "1e2",
+                '{"text": "x"}', "{}"):
         rc, out, _ = run(capsys, "decode", "--model", str(model_dir / "model.json"),
                          "--ids", raw)
         assert rc == 2, raw
@@ -181,6 +190,18 @@ def test_config_file_supplies_missing_values(tmp_path, corpus_path, capsys):
     assert rc == 0
 
 
+def test_shared_config_and_env_keys_a_command_lacks_are_ignored(
+        tmp_path, wordlevel_model, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"normalizer": "missing.json", "clitic_table": "missing.json",
+                               "threads": 2}), encoding="utf-8")
+    monkeypatch.setenv("ARTOK_NORMALIZER", str(tmp_path / "missing.json"))
+    rc, out, _ = run(capsys, "encode", "--model", str(wordlevel_model), "--text", "كتاب",
+                     "--config", str(cfg))
+    assert rc == 0
+    assert json.loads(out)["word_count"] == 1
+
+
 def test_missing_input_exits_2(capsys):
     rc, _, err = run(capsys, "encode", "--model", "/nonexistent/m.json", "--text", "x")
     assert rc == 2
@@ -208,6 +229,26 @@ def test_usage_error_exits_1(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["encode", "--model", "{model}", "--text", "x", "--normalizer", "{file}"], "--normalizer"),
+    (["decode", "--model", "{model}", "--ids", "7", "--threads", "2"], "--threads"),
+    (["eval", "--model", "{model}", "--corpus", "{corpus}", "--clitic-table", "{file}"],
+     "--clitic-table"),
+    (["preprocess", "--input", "{corpus}", "--output", "{out}", "--threads", "2"],
+     "--threads"),
+    (["train", "--corpus", "{corpus}", "--kind", "bpe", "--vocab", "200",
+      "--out", "{out}", "--seed", "0"], "--seed"),
+])
+def test_flag_the_command_does_not_read_is_a_usage_error(
+        argv, flag, tmp_path, corpus_path, wordlevel_model, capsys):
+    paths = {"model": wordlevel_model, "corpus": corpus_path, "out": tmp_path / "out",
+             "file": tmp_path / "missing.json"}
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**paths) for arg in argv])
+    assert exc.value.code == 1
+    assert flag in capsys.readouterr().err
+
+
 def test_unknown_command_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -228,7 +269,7 @@ def test_train_determinism_same_inputs(tmp_path, corpus_path, capsys):
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
     for d in (a_dir, b_dir):
         rc, _, _ = run(capsys, "train", "--corpus", str(corpus_path), "--kind", "bpe",
-                       "--vocab", "400", "--out", str(d), "--seed", "0")
+                       "--vocab", "400", "--out", str(d))
         assert rc == 0
     assert (a_dir / "model.json").read_bytes() == (b_dir / "model.json").read_bytes()
     assert (a_dir / "vocab.txt").read_bytes() == (b_dir / "vocab.txt").read_bytes()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from collections import Counter
@@ -434,6 +435,24 @@ def test_load_rejects_version_mismatch(tmp_path, trained_models):
         load_model(path)
 
 
+@pytest.mark.parametrize("checksum", ["recomputed", "removed"])
+@pytest.mark.parametrize("key, value", [("specials", ["[PAD]"]),
+                                        ("continuation_prefix", "@@")])
+def test_load_rejects_edited_specials_or_prefix(tmp_path, trained_models, key, value,
+                                                checksum):
+    path = tmp_path / "m.json"
+    save_model(trained_models[0], path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    del data["checksum"]
+    data[key] = value
+    if checksum == "recomputed":
+        canonical = json.dumps(data, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+        data["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="reserved tokens"):
+        load_model(path)
+
+
 def test_vocab_and_merges_text_exports(tmp_path, trained_models):
     model = trained_models[0]
     export_vocab_txt(model, tmp_path / "vocab.txt")
@@ -483,6 +502,18 @@ def test_truncation_equals_direct_training():
         big = train_from_pretokens(pretokens, kind, 80)
         small = train_from_pretokens(pretokens, kind, 40)
         assert truncate_model(big, 40) == small
+
+
+def test_truncated_model_does_not_share_encoder_state():
+    pretokens = Counter({"وقال": 9, "قالها": 7, "كتاب": 6, "الكتاب": 5,
+                         "يتحدث": 4, "تحدثنا": 3, "مدينة": 3, "قلم": 2})
+    word = "الكتاب"
+    for kind, size in (("bpe", 30), ("wordpiece", 30), ("wordlevel", 8)):
+        big = train_from_pretokens(pretokens, kind, 80)
+        big_ids = encode(big, word).ids
+        small = truncate_model(big, size)
+        fresh = train_from_pretokens(pretokens, kind, size)
+        assert encode(small, word).ids == encode(fresh, word).ids != big_ids, kind
 
 
 def test_merge_prefix_monotonicity_small():
