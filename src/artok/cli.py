@@ -172,6 +172,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="artok", description=__doc__,
                      formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser.commands = sub.choices  # command name -> its parser, for _apply_config
 
     def add_command(name: str, help_text: str, *shared: str) -> _Parser:
         p = sub.add_parser(name, help=help_text,
@@ -186,7 +187,8 @@ def build_parser() -> _Parser:
     p.add_argument("--output", required=True, help="filtered JSONL output path")
     p.add_argument("--format", choices=("jsonl", "plain_lines"), default="jsonl")
     p.add_argument("--normalize", action="store_true",
-                   help="also apply text normalization to kept documents")
+                   help="also apply text normalization to kept documents "
+                        "(implied by --normalizer)")
     _add_filter_flags(p)
 
     p = add_command("train", "train one tokenizer",
@@ -230,9 +232,28 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_config(args, argv: list[str], env_filled: set) -> None:
+def _config_value(action: argparse.Action, key: str, value):
+    """A config value checked as argparse checks the flag's argument: a
+    JSON boolean for a switch; else a string, or a number for a numeric
+    flag, that the flag's type converts and its choices allow."""
+    ok = isinstance(value, bool) if action.nargs == 0 else (
+        isinstance(value, str) or action.type in (int, float) and type(value) in (int, float))
+    if ok and action.type:
+        try:
+            value = action.type(str(value))
+        except ValueError:
+            ok = False
+    if not ok or action.choices is not None and value not in action.choices:
+        raise DataError(f"config key {key!r}: {value!r} is not a valid "
+                        f"{action.option_strings[0]} value")
+    return value
+
+
+def _apply_config(args, argv: list[str], env_filled: set,
+                  command: argparse.ArgumentParser) -> None:
     """Merge a JSON config file under the parsed flags; explicit flags win,
-    then environment-supplied paths, then config values."""
+    then environment-supplied paths, then config values. Keys for flags
+    the command does not take are ignored."""
     if not getattr(args, "config", None):
         return
     with open(_require_file(args.config, "config file"), encoding="utf-8") as f:
@@ -243,11 +264,12 @@ def _apply_config(args, argv: list[str], env_filled: set) -> None:
     for tok in argv:
         if tok.startswith("--"):
             explicit.add(tok[2:].split("=", 1)[0].replace("-", "_"))
+    flags = {a.dest: a for a in command._actions if a.option_strings and hasattr(args, a.dest)}
     for key, value in cfg.items():
         dest = key.replace("-", "_")
-        if dest in explicit or not hasattr(args, dest):
+        if dest in explicit or dest not in flags:
             continue
-        setattr(args, dest, value)
+        setattr(args, dest, _config_value(flags[dest], key, value))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +283,7 @@ def _cmd_preprocess(args) -> int:
     lines = []
     docs = load_documents(path, args.format, stats)
     for doc in filter_stream(docs, _filter_config(args), stats):
-        text = normalize(doc.text, normalizer) if args.normalize else doc.text
+        text = normalize(doc.text, normalizer) if args.normalize or args.normalizer else doc.text
         lines.append(json.dumps(
             {"id": doc.id, "text": text, "source": doc.source}, ensure_ascii=False))
     atomic_write_text(args.output, "".join(line + "\n" for line in lines))
@@ -440,7 +462,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         env_filled = _apply_env(args)
-        _apply_config(args, argv, env_filled)
+        _apply_config(args, argv, env_filled, parser.commands[args.command])
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         sys.stderr.write(f"artok {args.command}: error: {exc}\n")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -22,6 +23,9 @@ REJECT_NAVIGATION = "navigation_like"
 
 # Script blocks counted as Arabic: core, supplement, extended-A.
 _ARABIC_RANGES = ((0x0600, 0x06FF), (0x0750, 0x077F), (0x08A0, 0x08FF))
+# One Arabic-script character; equal to is_arabic_char on every code point.
+ARABIC_CHAR = re.compile(
+    "[" + "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _ARABIC_RANGES) + "]")
 
 
 @dataclass
@@ -92,13 +96,8 @@ def arabic_ratio(text: str) -> float:
     Digits and punctuation are excluded from both numerator and
     denominator; returns 0.0 when the text has no alphabetic codepoints.
     """
-    alpha = 0
-    arabic = 0
-    for ch in text:
-        if ch.isalpha():
-            alpha += 1
-            if is_arabic_char(ch):
-                arabic += 1
+    alpha = sum(map(str.isalpha, text))
+    arabic = sum(map(str.isalpha, "".join(ARABIC_CHAR.findall(text))))
     return arabic / alpha if alpha else 0.0
 
 

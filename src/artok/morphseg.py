@@ -19,7 +19,7 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import is_arabic_char
+from .corpus import ARABIC_CHAR
 
 log = logging.getLogger(__name__)
 
@@ -119,7 +119,7 @@ def segment_word(word: str, table: CliticTable | None = None) -> Segmentation:
     segments and one enclitic, never leaving a stem shorter than
     MIN_STEM_LEN. Words matching no rule come back as a single segment.
     """
-    if not word or any(ch.isspace() for ch in word):
+    if word.split() != [word]:
         raise ValueError("word must be non-empty and whitespace-free")
     table = table or CliticTable()
 
@@ -159,7 +159,7 @@ def segment_word(word: str, table: CliticTable | None = None) -> Segmentation:
 
 def _segmentable(word: str) -> bool:
     # '+' inside a raw word would collide with the marker convention.
-    return "+" not in word and any(is_arabic_char(ch) for ch in word)
+    return "+" not in word and ARABIC_CHAR.search(word) is not None
 
 
 def segment_text(text: str, table: CliticTable | None = None) -> str:

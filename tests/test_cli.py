@@ -70,6 +70,21 @@ def test_preprocess_normalize_flag(tmp_path, capsys):
     assert "<p>" not in out_path.read_text(encoding="utf-8")
 
 
+def test_preprocess_normalizer_implies_normalization(tmp_path, capsys):
+    raw = tmp_path / "raw.jsonl"
+    text = "<p>كتاب جديد عن تاريخ المدينة الكبيرة وفيها ١٢ مكتبة كثيرة جدا</p>"
+    raw.write_text(json.dumps({"id": "1", "text": text}, ensure_ascii=False) + "\n",
+                   encoding="utf-8")
+    normalizer = tmp_path / "n.json"
+    normalizer.write_text(json.dumps({"map_digits": False}), encoding="utf-8")
+    out_path = tmp_path / "clean.jsonl"
+    rc, _, _ = run(capsys, "preprocess", "--input", str(raw), "--output", str(out_path),
+                   "--normalizer", str(normalizer))
+    assert rc == 0
+    kept = json.loads(out_path.read_text(encoding="utf-8"))["text"]
+    assert "<p>" not in kept and "١٢" in kept
+
+
 def test_train_encode_decode_pipeline(tmp_path, corpus_path, capsys):
     model_dir = tmp_path / "bpe"
     rc, out, _ = run(capsys, "train", "--corpus", str(corpus_path), "--kind", "bpe",
@@ -188,6 +203,38 @@ def test_config_file_supplies_missing_values(tmp_path, corpus_path, capsys):
                      "--kind", "wordlevel", "--vocab", "260",
                      "--out", str(model_dir), "--config", str(cfg))
     assert rc == 0
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("train", {"threads": 1.5}),
+    ("train", {"normalizer": {"map_digits": False}}),
+    ("train", {"format": "csv"}),
+    ("train", {"no_filter": "yes"}),
+    ("compare", {"threads": "two"}),
+    ("compare", {"min_arabic_ratio": True}),
+])
+def test_config_value_argparse_would_reject_is_a_data_error(
+        command, cfg, tmp_path, corpus_path, capsys, caplog):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = ["--out", str(tmp_path / "m")] if command == "train" else [
+        "--out-dir", str(tmp_path / "grid"), "--kinds", "wordlevel", "--sizes", "200"]
+    kind = ["--kind", "wordlevel", "--vocab", "200"] if command == "train" else []
+    rc, out, _ = run(capsys, command, "--corpus", str(corpus_path), *kind, *out,
+                     "--config", str(path))
+    assert rc == 2
+    assert out == ""
+    assert "config key" in caplog.text
+
+
+def test_config_values_convert_like_flag_arguments(tmp_path, corpus_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"threads": "2", "min_arabic_ratio": 0, "no_filter": True}),
+                    encoding="utf-8")
+    rc, out, _ = run(capsys, "train", "--corpus", str(corpus_path), "--kind", "wordlevel",
+                     "--vocab", "200", "--out", str(tmp_path / "m"), "--config", str(path))
+    assert rc == 0
+    assert json.loads(out)["vocab_size"] == 200
 
 
 def test_shared_config_and_env_keys_a_command_lacks_are_ignored(

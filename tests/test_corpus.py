@@ -10,6 +10,7 @@ from artok.corpus import (
     arabic_ratio,
     filter_document,
     filter_stream,
+    is_arabic_char,
     load_documents,
 )
 
@@ -162,3 +163,11 @@ def test_relaxed_thresholds_keep_everything_nonempty(text):
        noise=st.text(alphabet="0123456789٠١٢٣!?.,؛ ", max_size=20))
 def test_arabic_ratio_ignores_digits_and_punctuation(text, noise):
     assert arabic_ratio(text) == arabic_ratio(text + noise)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet=st.one_of(st.characters(), st.characters(min_codepoint=0x0590, max_codepoint=0x0900))))
+def test_arabic_ratio_matches_per_character_definition(text):
+    alpha = [ch for ch in text if ch.isalpha()]
+    arabic = sum(map(is_arabic_char, alpha))
+    assert arabic_ratio(text) == (arabic / len(alpha) if alpha else 0.0)

@@ -1,11 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from artok.corpus import ARABIC_CHAR, is_arabic_char
 from artok.morphseg import (
     DEFAULT_ENCLITICS,
     DEFAULT_PROCLITICS,
     MIN_STEM_LEN,
     CliticTable,
+    _segmentable,
     desegment_text,
     segment_text,
     segment_word,
@@ -134,3 +136,16 @@ def test_segment_desegment_roundtrip(text):
 @given(word=ARABIC_WORDS)
 def test_segmentation_deterministic(word):
     assert segment_word(word) == segment_word(word)
+
+
+def test_script_and_whitespace_checks_agree_with_per_character_checks():
+    # _segmentable's regex and segment_word's str.split guard, against
+    # is_arabic_char and str.isspace on every code point
+    chars = [chr(cp) for cp in range(0x110000)]
+    everything = "".join(chars)
+    assert ARABIC_CHAR.findall(everything) == [c for c in chars if is_arabic_char(c)]
+    assert "".join(everything.split()) == "".join(c for c in chars if not c.isspace())
+    for word in [""] + ["كتا" + c + "ب" for c in chars if c.isspace()]:
+        with pytest.raises(ValueError):
+            segment_word(word)
+    assert _segmentable("a\u0750") and not _segmentable("a\u0780") and not _segmentable("و+")

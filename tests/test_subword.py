@@ -12,6 +12,7 @@ from artok.morphseg import CliticTable
 from artok.normalize import NormalizerConfig, normalize
 from artok.subword import (
     ALL_KINDS,
+    CACHE_GENERATION,
     SPECIALS,
     UNK_ID,
     ModelFormatError,
@@ -333,6 +334,40 @@ def test_decode_matches_oracle_on_any_ids(decode_models, data):
     assert decode(model, ids) == oracle_decode(model, ids)
 
 
+def test_word_caches_stay_bounded_and_exact(tmp_path):
+    # More distinct words (and, for bpe_morph, stems) than two cache
+    # generations hold, then words from the dropped and the old generation
+    # again; a fresh model encoding them in reverse order must agree.
+    rng = random.Random(3)
+    letters = "ابتثجحخدذرزسشصضطظعغفقكلمنهوي"
+
+    def stem():
+        return "".join(rng.choice(letters) for _ in range(rng.randint(4, 8)))
+
+    corpus = docs(*(" ".join(stem() for _ in range(50)) for _ in range(40)))
+    words = list(dict.fromkeys(
+        rng.choice(("", "و", "وال")) + stem() + rng.choice(("", "ها"))
+        for _ in range(2 * CACHE_GENERATION + 3000)))
+    assert len(words) > 2 * CACHE_GENERATION
+    words += words[:500] + words[CACHE_GENERATION:CACHE_GENERATION + 500]
+    texts = [" ".join(words[i:i + 64]) for i in range(0, len(words), 64)]
+    for kind in ALL_KINDS:
+        model = train_model(corpus, kind, 300)
+        save_model(model, tmp_path / "m.json")
+        served = [encode(model, text).ids for text in texts]
+        state = model._encoder_state()
+        if kind == "wordlevel":
+            assert len(state.words.young) <= model.vocab_size and not state.words.old
+        else:
+            assert state.words.old
+            assert len(state.words.young) + len(state.words.old) <= 2 * CACHE_GENERATION
+        if kind == "bpe_morph":
+            assert state.segments.old
+        assert len(state.segments.young) + len(state.segments.old) <= 2 * CACHE_GENERATION
+        fresh = load_model(tmp_path / "m.json")
+        assert [encode(fresh, text).ids for text in reversed(texts)] == served[::-1], kind
+
+
 def test_encode_empty_text():
     model = train_from_pretokens(Counter({"a": 1}), "wordlevel", 6)
     enc = encode(model, "")
@@ -412,6 +447,18 @@ def test_load_rejects_missing_merges_for_bpe(tmp_path, trained_models):
     del data["merges"]
     path.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("merges", ["ab", [["a", "##b", "c"]], [5], {"a": "##b"}])
+def test_load_rejects_malformed_merges(tmp_path, trained_models, merges):
+    path = tmp_path / "m.json"
+    save_model(trained_models[0], path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    del data["checksum"]
+    data["merges"] = merges
+    path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="malformed"):
         load_model(path)
 
 
