@@ -175,7 +175,8 @@ def build_parser() -> _Parser:
     parser.commands = sub.choices  # command name -> its parser, for _apply_config
 
     def add_command(name: str, help_text: str, *shared: str) -> _Parser:
-        p = sub.add_parser(name, help=help_text,
+        # no abbreviated flags: _apply_config finds explicit flags by full name
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False,
                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.add_argument("--config", default=None, help="JSON config file; explicit flags win")
         for flag in shared:

@@ -70,7 +70,7 @@ def _tally(model: TokenizerModel, docs: Iterable[Document]):
     """Per-word token/unk totals from the same word encoder `encode` uses;
     words attribute [UNK]s to themselves so coverage can count word
     occurrences that encode cleanly."""
-    encode_word = model.word_encoder()
+    encode_word = model.encode_word
     total_words = 0
     total_tokens = 0
     total_unk = 0

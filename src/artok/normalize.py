@@ -150,11 +150,7 @@ def collapse_repeats(text: str, cap: int = 2) -> str:
     return pattern.sub(lambda m: m.group(1) * cap, text)
 
 
-def normalize(
-    text: str,
-    cfg: NormalizerConfig | None = None,
-    placeholders: Placeholders | None = None,
-) -> str:
+def normalize(text: str, cfg: NormalizerConfig | None = None) -> str:
     """Apply the enabled transforms in the fixed pipeline order.
 
     Whitespace canonicalization (runs -> single space, trimmed) always
@@ -172,7 +168,6 @@ def normalize(
     if cfg.replace_urls or cfg.replace_mentions or cfg.replace_emails:
         text = replace_entities(
             text,
-            placeholders,
             urls=cfg.replace_urls,
             mentions=cfg.replace_mentions,
             emails=cfg.replace_emails,

@@ -17,7 +17,8 @@ import os
 import tempfile
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, ClassVar, Iterable
 
@@ -65,9 +66,6 @@ class TokenizerModel:
     # The same for every model: bundles record them and load_model checks them.
     specials: ClassVar[tuple[str, ...]] = SPECIALS
     continuation_prefix: ClassVar[str] = CONT_PREFIX
-    # Encode-time state, built on first use; never serialized, and never
-    # copied by dataclasses.replace.
-    _encoder: "_WordEncoder" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
@@ -79,19 +77,43 @@ class TokenizerModel:
     def vocab_size(self) -> int:
         return len(self.vocab)
 
-    def _encoder_state(self) -> "_WordEncoder":
-        if self._encoder is None:
-            self._encoder = _WordEncoder(self)
-        return self._encoder
+    # Encode-time state, built on first use. Cached properties live in the
+    # instance dict, so they are never serialized, compared or copied by
+    # dataclasses.replace.
 
-    def token_to_id(self) -> dict:
-        return self._encoder_state().token_ids
+    @cached_property
+    def token_ids(self) -> dict[str, int]:
+        return {tok: i for i, tok in enumerate(self.vocab)}
 
-    def word_encoder(self) -> Callable[[str], tuple[int, ...]]:
-        """The model's one word encoder: a normalized whitespace word to
-        its ids (for bpe_morph, the ids of its clitic segments in order),
-        cached per word in a bounded table."""
-        return self._encoder_state().encode
+    @cached_property
+    def encode_word(self) -> Callable[[str], tuple[int, ...]]:
+        """The model's one word encoder, shared by `encode` and
+        evaluation; see `_word_encoder`."""
+        return _word_encoder(self.kind, self.token_ids, self.merges, self.clitic_table)
+
+    @cached_property
+    def decode_table(self) -> tuple[list[str], list[int | None]]:
+        """(pieces, lead_cut), indexed by id: the piece decode joins,
+        and how many leading characters to cut when the id is the first
+        one kept. A word-start token's piece is " " + token and cuts 1;
+        a continuation's is the token without its prefix and cuts 0 (it
+        opens the first word bare, even when empty); a dropped reserved
+        token's is "" and cuts None. Built on first use, so loading and
+        encoding never pay for it."""
+        dropped = set(SPECIALS) - {UNK_TOKEN}
+        pieces: list[str] = []
+        lead_cut: list[int | None] = []
+        for tok in self.vocab:
+            if tok in dropped:
+                pieces.append("")
+                lead_cut.append(None)
+            elif tok.startswith(CONT_PREFIX):
+                pieces.append(tok[len(CONT_PREFIX):])
+                lead_cut.append(0)
+            else:
+                pieces.append(" " + tok)
+                lead_cut.append(1)
+        return pieces, lead_cut
 
 
 def word_symbols(word: str) -> list[str]:
@@ -218,118 +240,57 @@ def _wordpiece_pieces(word: str, vocab: dict) -> list[str]:
     return pieces
 
 
-# Entries per cache generation; a table holds at most two generations.
-CACHE_GENERATION = 16384
-_UNK_IDS = (UNK_ID,)
+# Entries per word table. A table of up to 21,845 entries keeps its dict
+# index at 32,768 slots; one more doubles the index.
+CACHE_SIZE = 20000
 
 
-class _Generations:
-    """A key -> ids table of at most 2 * CACHE_GENERATION entries, so it
-    stays bounded on never-repeating traffic. Lookups read `young`, then
-    `old`; every miss of `young` stores into it, and a full `young`
-    becomes `old`, dropping the previous `old` whole."""
+def _word_encoder(kind: str, token_ids: dict, merges: list,
+                  clitic_table: CliticTable | None) -> Callable[[str], tuple[int, ...]]:
+    """A model's word encoder: a normalized whitespace word to its ids (for
+    bpe_morph, the ids of its clitic segments in order).
 
-    def __init__(self):
-        self.young: dict[str, tuple[int, ...]] = {}
-        self.old: dict[str, tuple[int, ...]] = {}
-
-    def get(self, key: str, compute: Callable[[str], tuple[int, ...]]) -> tuple[int, ...]:
-        ids = self.young.get(key)
-        if ids is None:
-            ids = self.old.get(key)
-            if ids is None:
-                ids = compute(key)
-            if len(self.young) >= CACHE_GENERATION:
-                self.old, self.young = self.young, {}
-            self.young[key] = ids
-        return ids
-
-
-class _WordEncoder:
-    """Encode-time state of one model: token ids, merge ranks, a
-    word -> ids cache and, once the model first decodes, an id -> piece
-    table.
-
-    The word cache holds two generations (`_Generations`). A wordlevel
-    model caches only in-vocabulary words, in `young` alone, so its
-    cache never outgrows the vocabulary; an out-of-vocabulary word gets
-    the one shared `(UNK_ID,)` and no entry.
-    bpe_morph encodes a missed word segment by segment through a second
-    two-generation table keyed by segment, so a stem seen under other
-    clitics is not replayed again. On never-repeated traffic this
-    measured a lower p99 latency than a whole-word cache alone and less
-    memory than keying every lookup by segment."""
-
-    def __init__(self, model: TokenizerModel):
-        self.kind = model.kind
-        self.clitic_table = model.clitic_table
-        self.vocab = model.vocab
-        self.token_ids = {tok: i for i, tok in enumerate(model.vocab)}
-        self.ranks = {tuple(m): r for r, m in enumerate(model.merges)}
-        self.words = _Generations()
-        self.segments = _Generations()
-        self._decode_table: tuple[list[str], list[int | None]] | None = None
-
-    def decode_table(self) -> tuple[list[str], list[int | None]]:
-        """(pieces, lead_cut), indexed by id: the piece decode joins,
-        and how many leading characters to cut when the id is the first
-        one kept. A word-start token's piece is " " + token and cuts 1;
-        a continuation's is the token without its prefix and cuts 0 (it
-        opens the first word bare, even when empty); a dropped reserved
-        token's is "" and cuts None. Built on first use, so loading and
-        encoding never pay for it."""
-        if self._decode_table is None:
-            dropped = set(SPECIALS) - {UNK_TOKEN}
-            pieces: list[str] = []
-            lead_cut: list[int | None] = []
-            for tok in self.vocab:
-                if tok in dropped:
-                    pieces.append("")
-                    lead_cut.append(None)
-                elif tok.startswith(CONT_PREFIX):
-                    pieces.append(tok[len(CONT_PREFIX):])
-                    lead_cut.append(0)
-                else:
-                    pieces.append(" " + tok)
-                    lead_cut.append(1)
-            self._decode_table = (pieces, lead_cut)
-        return self._decode_table
-
-    def encode(self, word: str) -> tuple[int, ...]:
-        if self.kind != KIND_WORDLEVEL:
-            return self.words.get(word, self._encode_uncached)
-        ids = self.words.young.get(word)
-        if ids is None:
-            i = self.token_ids.get(word)
-            if i is None:
-                return _UNK_IDS
-            ids = self.words.young[word] = (i,)
-        return ids
-
-    def _encode_uncached(self, word: str) -> tuple[int, ...]:
-        if self.kind == KIND_WORDPIECE:
-            token_ids = self.token_ids
+    bpe and wordpiece cache each word in an LRU table of CACHE_SIZE
+    entries, so memory stays bounded on never-repeating traffic. bpe_morph
+    encodes a missed word segment by segment through a second such table
+    keyed by segment (its `segment_ids` attribute), so a stem seen under
+    other clitics is not replayed again. wordlevel is one lookup and
+    caches nothing. The encoders close over the lookup tables, not the
+    model, so a dropped model is freed at once."""
+    if kind == KIND_WORDLEVEL:
+        def wordlevel_ids(word: str) -> tuple[int, ...]:
+            return (token_ids.get(word, UNK_ID),)
+        return wordlevel_ids
+    if kind == KIND_WORDPIECE:
+        @lru_cache(CACHE_SIZE)
+        def wordpiece_ids(word: str) -> tuple[int, ...]:
             return tuple([token_ids.get(t, UNK_ID) for t in _wordpiece_pieces(word, token_ids)])
-        if self.kind == KIND_BPE:
-            return self._bpe_ids(word)
-        ids: tuple[int, ...] = ()
-        for seg in _segments(word, self.clitic_table):
-            ids += self.segments.get(seg, self._bpe_ids)
-        return ids
+        return wordpiece_ids
+    ranks = {tuple(m): r for r, m in enumerate(merges)}
 
-    def _bpe_ids(self, word: str) -> tuple[int, ...]:
-        token_ids = self.token_ids
-        return tuple([token_ids.get(t, UNK_ID) for t in _bpe_symbols(word, self.ranks)])
+    @lru_cache(CACHE_SIZE)
+    def bpe_ids(word: str) -> tuple[int, ...]:
+        return tuple([token_ids.get(t, UNK_ID) for t in _bpe_symbols(word, ranks)])
+    if kind == KIND_BPE:
+        return bpe_ids
+
+    @lru_cache(CACHE_SIZE)
+    def morph_ids(word: str) -> tuple[int, ...]:
+        ids: tuple[int, ...] = ()
+        for seg in _segments(word, clitic_table):
+            ids += bpe_ids(seg)
+        return ids
+    morph_ids.segment_ids = bpe_ids
+    return morph_ids
 
 
 def encode(model: TokenizerModel, text: str) -> Encoding:
     """Normalize, pre-tokenize and tokenize text with a trained model."""
-    encoder = model._encoder_state()
-    cache = encoder.words.young
+    encode_word = model.encode_word
     words = normalize(text, model.normalizer).split()
     ids: list[int] = []
     for word in words:
-        ids += cache.get(word) or encoder.encode(word)
+        ids += encode_word(word)
     return Encoding(ids=ids, tokens=list(map(model.vocab.__getitem__, ids)),
                     word_count=len(words))
 
@@ -338,7 +299,7 @@ def decode(model: TokenizerModel, ids: Iterable[int]) -> str:
     """Map ids back to text: continuations glue to the previous piece,
     other tokens join with single spaces, reserved tokens other than
     [UNK] drop, and morph segment markers are resolved afterwards."""
-    pieces, lead_cut = model._encoder_state().decode_table()
+    pieces, lead_cut = model.decode_table
     ids = list(ids)
     if ids and (min(ids) < 0 or max(ids) >= len(pieces)):
         bad = next(i for i in ids if not 0 <= i < len(pieces))
@@ -396,22 +357,27 @@ def atomic_write_text(path: str | Path, content: str) -> None:
 def save_model(model: TokenizerModel, path: str | Path) -> None:
     """Serialize to a single JSON bundle; byte-identical across re-saves."""
     payload = _canonical_payload(model)
-    payload["checksum"] = _checksum(_canonical_payload(model))
+    payload["checksum"] = _checksum(payload)
     atomic_write_text(path, _dumps(payload) + "\n")
 
 
 def validate_model(model: TokenizerModel) -> None:
+    """Check a model's vocabulary and merges against each other, through
+    the token -> id table that its first encode then reuses."""
     if list(model.vocab[:len(SPECIALS)]) != list(SPECIALS):
         raise ModelFormatError("reserved tokens must occupy ids 0-4")
-    if len(set(model.vocab)) != len(model.vocab):
+    token_ids = model.token_ids
+    if len(token_ids) != len(model.vocab):
         raise ModelFormatError("vocabulary contains duplicate tokens")
     if model.kind == KIND_WORDLEVEL and model.merges:
         raise ModelFormatError("wordlevel model must not carry merges")
-    vocab_set = set(model.vocab)
     for left, right in model.merges:
-        if left not in vocab_set or right not in vocab_set:
+        if left not in token_ids or right not in token_ids:
             raise ModelFormatError(f"merge input missing from vocab: {(left, right)}")
-        if merge_output(left, right) not in vocab_set:
+        if not right.startswith(CONT_PREFIX):
+            raise ModelFormatError(f"malformed merge, right side is no continuation: "
+                                   f"{(left, right)}")
+        if merge_output(left, right) not in token_ids:
             raise ModelFormatError(f"merge output missing from vocab: {(left, right)}")
 
 

@@ -296,6 +296,18 @@ def test_flag_the_command_does_not_read_is_a_usage_error(
     assert flag in capsys.readouterr().err
 
 
+def test_abbreviated_flag_is_a_usage_error(tmp_path, corpus_path, capsys):
+    # a prefix of --min-chars must not parse, or the config value would win over it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"min_chars": 99}), encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--corpus", str(corpus_path), "--out-dir", str(tmp_path / "grid"),
+              "--kinds", "wordlevel", "--sizes", "200", "--config", str(cfg),
+              "--min-ch", "7"])
+    assert exc.value.code == 1
+    assert "--min-ch" in capsys.readouterr().err
+
+
 def test_unknown_command_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -12,7 +14,7 @@ from artok.morphseg import CliticTable
 from artok.normalize import NormalizerConfig, normalize
 from artok.subword import (
     ALL_KINDS,
-    CACHE_GENERATION,
+    CACHE_SIZE,
     SPECIALS,
     UNK_ID,
     ModelFormatError,
@@ -271,7 +273,7 @@ def test_encode_ids_and_tokens_mutually_consistent():
 
 def test_decode_continuation_concatenation():
     model = train_from_pretokens(Counter({"يتحدثها": 2}), "bpe", 60)
-    tok_to_id = model.token_to_id()
+    tok_to_id = model.token_ids
     assert "يتحدثها" in tok_to_id  # fully merged at this budget
     enc = encode(model, "يتحدثها")
     assert decode(model, enc.ids) == "يتحدثها"
@@ -319,7 +321,7 @@ def test_decode_bare_continuation_starts_an_empty_word():
 
 def test_decode_morph_dangling_markers_match_oracle(decode_models):
     model = decode_models["bpe_morph"]
-    tok_to_id = model.token_to_id()
+    tok_to_id = model.token_ids
     pro, enc, plus = tok_to_id["و+"], tok_to_id["+ها"], tok_to_id["+"]
     for ids in ([enc], [pro], [enc, pro], [0, enc, 2], [pro, 0], [pro, pro, enc],
                 [plus, enc], [pro, plus], []):
@@ -335,9 +337,9 @@ def test_decode_matches_oracle_on_any_ids(decode_models, data):
 
 
 def test_word_caches_stay_bounded_and_exact(tmp_path):
-    # More distinct words (and, for bpe_morph, stems) than two cache
-    # generations hold, then words from the dropped and the old generation
-    # again; a fresh model encoding them in reverse order must agree.
+    # Over twice as many distinct words (and, for bpe_morph, stems) as a
+    # word table holds, then 1000 of them again after they were evicted; a
+    # fresh model encoding them in reverse order must agree.
     rng = random.Random(3)
     letters = "ابتثجحخدذرزسشصضطظعغفقكلمنهوي"
 
@@ -347,23 +349,23 @@ def test_word_caches_stay_bounded_and_exact(tmp_path):
     corpus = docs(*(" ".join(stem() for _ in range(50)) for _ in range(40)))
     words = list(dict.fromkeys(
         rng.choice(("", "و", "وال")) + stem() + rng.choice(("", "ها"))
-        for _ in range(2 * CACHE_GENERATION + 3000)))
-    assert len(words) > 2 * CACHE_GENERATION
-    words += words[:500] + words[CACHE_GENERATION:CACHE_GENERATION + 500]
+        for _ in range(2 * CACHE_SIZE + 3000)))
+    assert len(words) > 2 * CACHE_SIZE
+    words += words[:500] + words[CACHE_SIZE:CACHE_SIZE + 500]
     texts = [" ".join(words[i:i + 64]) for i in range(0, len(words), 64)]
     for kind in ALL_KINDS:
         model = train_model(corpus, kind, 300)
         save_model(model, tmp_path / "m.json")
         served = [encode(model, text).ids for text in texts]
-        state = model._encoder_state()
-        if kind == "wordlevel":
-            assert len(state.words.young) <= model.vocab_size and not state.words.old
-        else:
-            assert state.words.old
-            assert len(state.words.young) + len(state.words.old) <= 2 * CACHE_GENERATION
+        encode_word = model.encode_word
+        # wordlevel has no table; bpe_morph has a segment table besides its word table
+        assert hasattr(encode_word, "cache_info") == (kind != "wordlevel")
+        tables = [] if kind == "wordlevel" else [encode_word]
         if kind == "bpe_morph":
-            assert state.segments.old
-        assert len(state.segments.young) + len(state.segments.old) <= 2 * CACHE_GENERATION
+            tables.append(encode_word.segment_ids)
+        for table in tables:
+            info = table.cache_info()
+            assert info.currsize <= CACHE_SIZE < info.misses, (kind, info)
         fresh = load_model(tmp_path / "m.json")
         assert [encode(fresh, text).ids for text in reversed(texts)] == served[::-1], kind
 
@@ -440,6 +442,24 @@ def test_save_is_byte_identical(tmp_path, trained_models):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_dropped_model_is_freed_without_the_cycle_collector(tmp_path, trained_models, kind):
+    # a cache that held the model (say, around a bound method) would keep
+    # every dropped model alive until a full collection
+    path = tmp_path / "m.json"
+    save_model(next(m for m in trained_models if m.kind == kind), path)
+    gc.collect()
+    gc.disable()
+    try:
+        model = load_model(path)
+        decode(model, encode(model, "كتاب والكتاب يتحدثها").ids)
+        refs = weakref.ref(model), weakref.ref(model.encode_word)
+        del model
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
 def test_load_rejects_missing_merges_for_bpe(tmp_path, trained_models):
     path = tmp_path / "m.json"
     save_model(trained_models[0], path)
@@ -450,7 +470,8 @@ def test_load_rejects_missing_merges_for_bpe(tmp_path, trained_models):
         load_model(path)
 
 
-@pytest.mark.parametrize("merges", ["ab", [["a", "##b", "c"]], [5], {"a": "##b"}])
+@pytest.mark.parametrize("merges", ["ab", [["a", "##b", "c"]], [5], {"a": "##b"},
+                                    [["[UNK]", "[CLS]"]]])
 def test_load_rejects_malformed_merges(tmp_path, trained_models, merges):
     path = tmp_path / "m.json"
     save_model(trained_models[0], path)
