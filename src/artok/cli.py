@@ -404,16 +404,23 @@ def _cmd_compare(args) -> int:
         raise DataError("need at least 2 filtered documents for a held-out split")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = compare_grid(
-        docs,
-        kinds=kinds,
-        sizes=sizes,
-        normalizer=normalizer,
-        clitic_table=table,
-        corpus_id=str(args.corpus),
-        workers=args.threads,
-        models_dir=out_dir / "models",
-    )
+    try:
+        report = compare_grid(
+            docs,
+            kinds=kinds,
+            sizes=sizes,
+            normalizer=normalizer,
+            clitic_table=table,
+            corpus_id=str(args.corpus),
+            workers=args.threads,
+            models_dir=out_dir / "models",
+        )
+    except RuntimeError as exc:
+        # a cell that rejects its inputs (a size too small for the kind,
+        # a malformed cached bundle) is a data error, not a crash
+        if isinstance(exc.__cause__, ValueError):
+            raise DataError(str(exc)) from exc
+        raise
     csv_path = out_dir / "report.csv"
     json_path = out_dir / "report.json"
     long_path = out_dir / "ratio_long.csv"

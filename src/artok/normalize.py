@@ -66,6 +66,13 @@ class NormalizerConfig:
     repeat_cap: int = 2
 
     def __post_init__(self):
+        # Values also arrive from JSON files, where "false" and 2.5 parse
+        # without complaint but would misbehave inside normalize.
+        for name, value in vars(self).items():
+            if name != "repeat_cap" and not isinstance(value, bool):
+                raise ValueError(f"normalizer flag {name} must be true or false, not {value!r}")
+        if type(self.repeat_cap) is not int:  # bool is an int subclass
+            raise ValueError(f"repeat_cap must be an integer, not {self.repeat_cap!r}")
         if self.repeat_cap < 1:
             raise ValueError("repeat_cap must be >= 1")
 

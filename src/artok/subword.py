@@ -364,6 +364,8 @@ def save_model(model: TokenizerModel, path: str | Path) -> None:
 def validate_model(model: TokenizerModel) -> None:
     """Check a model's vocabulary and merges against each other, through
     the token -> id table that its first encode then reuses."""
+    if not all(isinstance(tok, str) for tok in model.vocab):
+        raise ModelFormatError("malformed vocabulary, every token must be a string")
     if list(model.vocab[:len(SPECIALS)]) != list(SPECIALS):
         raise ModelFormatError("reserved tokens must occupy ids 0-4")
     token_ids = model.token_ids
@@ -372,6 +374,8 @@ def validate_model(model: TokenizerModel) -> None:
     if model.kind == KIND_WORDLEVEL and model.merges:
         raise ModelFormatError("wordlevel model must not carry merges")
     for left, right in model.merges:
+        if not (isinstance(left, str) and isinstance(right, str)):
+            raise ModelFormatError(f"malformed merge, sides must be strings: {(left, right)}")
         if left not in token_ids or right not in token_ids:
             raise ModelFormatError(f"merge input missing from vocab: {(left, right)}")
         if not right.startswith(CONT_PREFIX):

@@ -35,32 +35,30 @@ log = logging.getLogger(__name__)
 
 MIN_PAIR_FREQ = 2
 
-_SHIFT = 32
-_MASK = (1 << _SHIFT) - 1
 
-
-def _pack(a: int, b: int) -> int:
-    return (a << _SHIFT) | b
+def _check_pretokens(pretokens: Mapping[str, int]) -> None:
+    for word, cnt in pretokens.items():
+        if not word or any(ch.isspace() for ch in word):
+            raise ValueError(f"invalid pre-token surface: {word!r}")
+        if cnt < 1:
+            raise ValueError(f"pre-token count must be >= 1: {word!r} -> {cnt}")
 
 
 class _MergeEngine:
     """Mutable corpus state for the merge loop.
 
     Symbol ids are aligned with final vocabulary ids (specials first,
-    then the initial alphabet, then one id per merge). Symbols whose
-    alphabet slot was truncated away map to the [UNK] id and never
-    participate in pairs.
+    then the initial alphabet, then one id per merge), and a pair is the
+    tuple (left_id, right_id). Symbols whose alphabet slot was truncated
+    away map to the [UNK] id; a truncated alphabet fills the whole
+    vocabulary budget, so such a corpus gets no merges.
     """
 
     def __init__(self, pretokens: Mapping[str, int], max_alphabet: int):
         if not pretokens:
             raise ValueError("pretokens must be non-empty")
+        _check_pretokens(pretokens)
         items = sorted(pretokens.items())
-        for word, cnt in items:
-            if not word or any(ch.isspace() for ch in word):
-                raise ValueError(f"invalid pre-token surface: {word!r}")
-            if cnt < 1:
-                raise ValueError(f"pre-token count must be >= 1: {word!r} -> {cnt}")
 
         occ_counts: Counter = Counter()
         for word, cnt in items:
@@ -78,113 +76,86 @@ class _MergeEngine:
 
         self.sym_strs: list[str] = list(SPECIALS) + self.alphabet
         sym_ids = {s: i for i, s in enumerate(self.sym_strs)}
-        self.occ = np.zeros(len(self.sym_strs) + 1024, dtype=np.int64)
+        self.words: list[list[int]] = []
+        self.word_counts: list[int] = []
+        self.pair_cnt: dict[tuple[int, int], int] = {}
+        self.pair_words: dict[tuple[int, int], set[int]] = {}
+        pair_cnt = self.pair_cnt
+        pair_words = self.pair_words
+        for widx, (word, cnt) in enumerate(items):
+            syms = [sym_ids.get(s, UNK_ID) for s in word_symbols(word)]
+            self.words.append(syms)
+            self.word_counts.append(cnt)
+            for pair in zip(syms, syms[1:]):
+                pair_cnt[pair] = pair_cnt.get(pair, 0) + cnt
+                try:
+                    pair_words[pair].add(widx)
+                except KeyError:
+                    pair_words[pair] = {widx}
+
+        # The vocabulary budget caps the symbol count, and so does the
+        # corpus: every merge shortens at least one word by one symbol.
+        positions = sum(len(w) - 1 for w in self.words)
+        self.occ = np.zeros(
+            len(SPECIALS) + min(max_alphabet, len(self.alphabet) + positions), dtype=np.int64
+        )
         for sym, cnt in ranked:
             self.occ[sym_ids[sym]] = cnt
 
-        self.words: list[list[int]] = []
-        self.word_counts: list[int] = []
-        self.pair_cnt: dict[int, int] = {}
-        self.pair_words: dict[int, set[int]] = {}
-        pair_cnt = self.pair_cnt
-        pair_words = self.pair_words
-        for word, cnt in items:
-            syms = [sym_ids.get(s, UNK_ID) for s in word_symbols(word)]
-            widx = len(self.words)
-            self.words.append(syms)
-            self.word_counts.append(cnt)
-            prev = syms[0]
-            for cur in syms[1:]:
-                if prev != UNK_ID and cur != UNK_ID:
-                    key = _pack(prev, cur)
-                    pair_cnt[key] = pair_cnt.get(key, 0) + cnt
-                    try:
-                        pair_words[key].add(widx)
-                    except KeyError:
-                        pair_words[key] = {widx}
-                prev = cur
-
-    def pair_strs(self, key: int) -> tuple[str, str]:
-        return self.sym_strs[key >> _SHIFT], self.sym_strs[key & _MASK]
+    def pair_strs(self, pair: tuple[int, int]) -> tuple[str, str]:
+        return self.sym_strs[pair[0]], self.sym_strs[pair[1]]
 
     def register_symbol(self, token: str) -> int:
-        new_id = len(self.sym_strs)
         self.sym_strs.append(token)
-        if new_id >= len(self.occ):
-            grown = np.zeros(len(self.occ) * 2, dtype=np.int64)
-            grown[: len(self.occ)] = self.occ
-            self.occ = grown
-        return new_id
+        return len(self.sym_strs) - 1
 
-    def apply_merge(self, a: int, b: int, new_id: int) -> set[int]:
-        """Rewrite every word containing the pair; returns the keys of all
-        pairs whose corpus count changed."""
-        key = _pack(a, b)
-        widxs = self.pair_words.pop(key, None) or ()
-        delta: dict[int, int] = {}
+    def apply_merge(self, a: int, b: int, new_id: int) -> set[tuple[int, int]]:
+        """Rewrite every word containing the pair (a, b) in one pass each;
+        returns all pairs whose corpus count changed."""
+        delta: dict[tuple[int, int], int] = {}
         words = self.words
         word_counts = self.word_counts
         pair_words = self.pair_words
         merged_occ = 0
-        for widx in widxs:
+        for widx in pair_words.pop((a, b), ()):
             w = words[widx]
             n = len(w)
-            hit = False
-            for i in range(n - 1):
-                if w[i] == a and w[i + 1] == b:
-                    hit = True
-                    break
-            if not hit:  # stale registration from an earlier rewrite
-                continue
-            cnt = word_counts[widx]
-            prev = w[0]
-            for j in range(1, n):
-                cur = w[j]
-                if prev != UNK_ID and cur != UNK_ID:
-                    k = _pack(prev, cur)
-                    delta[k] = delta.get(k, 0) - cnt
-                prev = cur
             new_w: list[int] = []
             i = 0
-            replaced = 0
             while i < n:
-                if i < n - 1 and w[i] == a and w[i + 1] == b:
+                if w[i] == a and i + 1 < n and w[i + 1] == b:
                     new_w.append(new_id)
-                    replaced += 1
                     i += 2
                 else:
                     new_w.append(w[i])
                     i += 1
+            if len(new_w) == n:  # stale registration from an earlier rewrite
+                continue
             words[widx] = new_w
-            merged_occ += replaced * cnt
-            prev = new_w[0]
-            for j in range(1, len(new_w)):
-                cur = new_w[j]
-                if prev != UNK_ID and cur != UNK_ID:
-                    k = _pack(prev, cur)
-                    delta[k] = delta.get(k, 0) + cnt
-                    try:
-                        pair_words[k].add(widx)
-                    except KeyError:
-                        pair_words[k] = {widx}
-                prev = cur
-        if a == b:
-            self.occ[a] -= 2 * merged_occ
-        else:
-            self.occ[a] -= merged_occ
-            self.occ[b] -= merged_occ
+            cnt = word_counts[widx]
+            merged_occ += (n - len(new_w)) * cnt
+            for pair in zip(w, w[1:]):
+                delta[pair] = delta.get(pair, 0) - cnt
+            for pair in zip(new_w, new_w[1:]):
+                delta[pair] = delta.get(pair, 0) + cnt
+                try:
+                    pair_words[pair].add(widx)
+                except KeyError:
+                    pair_words[pair] = {widx}
+        self.occ[a] -= merged_occ
+        self.occ[b] -= merged_occ
         self.occ[new_id] += merged_occ
-        changed: set[int] = set()
+        changed: set[tuple[int, int]] = set()
         pair_cnt = self.pair_cnt
-        for k, d in delta.items():
+        for pair, d in delta.items():
             if not d:
                 continue
-            nc = pair_cnt.get(k, 0) + d
+            nc = pair_cnt.get(pair, 0) + d
             if nc:
-                pair_cnt[k] = nc
+                pair_cnt[pair] = nc
             else:
-                pair_cnt.pop(k, None)
-            changed.add(k)
+                pair_cnt.pop(pair, None)
+            changed.add(pair)
         return changed
 
 
@@ -208,13 +179,13 @@ class _BpeSelector:
     def __init__(self, engine: _MergeEngine, min_freq: int):
         self.engine = engine
         self.min_freq = min_freq
-        self.dead: set[int] = set()
+        self.dead: set[tuple[int, int]] = set()
         self.heap: list = []
         for key, cnt in engine.pair_cnt.items():
             if cnt >= min_freq:
                 heapq.heappush(self.heap, (-cnt, _RevLex(engine.pair_strs(key)), key))
 
-    def notify(self, changed: Iterable[int]) -> None:
+    def notify(self, changed: Iterable[tuple[int, int]]) -> None:
         engine = self.engine
         pair_cnt = engine.pair_cnt
         heap = self.heap
@@ -225,10 +196,10 @@ class _BpeSelector:
             if cnt >= min_freq and key not in dead:
                 heapq.heappush(heap, (-cnt, _RevLex(engine.pair_strs(key)), key))
 
-    def kill(self, key: int) -> None:
+    def kill(self, key: tuple[int, int]) -> None:
         self.dead.add(key)
 
-    def best(self) -> int | None:
+    def best(self) -> tuple[int, int] | None:
         pair_cnt = self.engine.pair_cnt
         heap = self.heap
         while heap:
@@ -250,7 +221,7 @@ class _WordPieceSelector:
     def __init__(self, engine: _MergeEngine, min_freq: int):
         self.engine = engine
         self.min_freq = min_freq
-        self.slot_of: dict[int, int] = {}
+        self.slot_of: dict[tuple[int, int], int] = {}
         cap = max(1024, 2 * len(engine.pair_cnt))
         self.left = np.zeros(cap, dtype=np.int64)
         self.right = np.zeros(cap, dtype=np.int64)
@@ -261,7 +232,7 @@ class _WordPieceSelector:
             if cnt >= min_freq:
                 self._register(key, cnt)
 
-    def _register(self, key: int, cnt: int) -> None:
+    def _register(self, key: tuple[int, int], cnt: int) -> None:
         if self.n == len(self.cnt):
             for name in ("left", "right", "cnt", "alive"):
                 arr = getattr(self, name)
@@ -271,12 +242,11 @@ class _WordPieceSelector:
         slot = self.n
         self.n += 1
         self.slot_of[key] = slot
-        self.left[slot] = key >> _SHIFT
-        self.right[slot] = key & _MASK
+        self.left[slot], self.right[slot] = key
         self.cnt[slot] = cnt
         self.alive[slot] = True
 
-    def notify(self, changed: Iterable[int]) -> None:
+    def notify(self, changed: Iterable[tuple[int, int]]) -> None:
         pair_cnt = self.engine.pair_cnt
         for key in changed:
             cnt = pair_cnt.get(key, 0)
@@ -287,12 +257,12 @@ class _WordPieceSelector:
             else:
                 self.cnt[slot] = cnt
 
-    def kill(self, key: int) -> None:
+    def kill(self, key: tuple[int, int]) -> None:
         slot = self.slot_of.get(key)
         if slot is not None:
             self.alive[slot] = False
 
-    def best(self) -> int | None:
+    def best(self) -> tuple[int, int] | None:
         n = self.n
         if n == 0:
             return None
@@ -305,14 +275,11 @@ class _WordPieceSelector:
         if not valid.any():
             return None
         scores = np.where(valid, cnt / np.maximum(denom, 1), -1.0)
-        best_score = scores.max()
-        if best_score < 0:
-            return None
-        ties = np.flatnonzero(scores == best_score)
+        ties = np.flatnonzero(scores == scores.max())
         best_key = None
         best_rank: tuple[int, tuple[str, str]] | None = None
         for slot in ties:
-            key = _pack(int(left[slot]), int(right[slot]))
+            key = (int(left[slot]), int(right[slot]))
             rank = (int(cnt[slot]), self.engine.pair_strs(key))
             if best_rank is None or rank > best_rank:
                 best_rank = rank
@@ -332,7 +299,7 @@ def _run_merge_loop(engine: _MergeEngine, selector, vocab_size: int):
                 "(target %d)", MIN_PAIR_FREQ, len(vocab), vocab_size,
             )
             break
-        a, b = key >> _SHIFT, key & _MASK
+        a, b = key
         token = merge_output(engine.sym_strs[a], engine.sym_strs[b])
         if token in vocab_set:
             # Merging would alias an existing token string; skipping keeps
@@ -381,10 +348,8 @@ def train_from_pretokens(
 
 
 def _train_wordlevel(pretokens, vocab_size, normalizer) -> TokenizerModel:
+    _check_pretokens(pretokens)
     specials = set(SPECIALS)
-    for word in pretokens:
-        if not word or any(ch.isspace() for ch in word):
-            raise ValueError(f"invalid pre-token surface: {word!r}")
     ranked = sorted(pretokens.items(), key=lambda kv: (-kv[1], kv[0]))
     vocab = list(SPECIALS)
     for surface, _ in ranked:

@@ -180,6 +180,15 @@ def test_compare_command(tmp_path, corpus_path, capsys):
     ]
 
 
+def test_compare_size_a_kind_cannot_train_is_a_data_error(tmp_path, corpus_path, capsys,
+                                                         caplog):
+    rc, out, _ = run(capsys, "compare", "--corpus", str(corpus_path), "--kinds", "bpe",
+                     "--sizes", "1", "--out-dir", str(tmp_path / "grid"))
+    assert rc == 2
+    assert out == ""
+    assert "kind=bpe" in caplog.text
+
+
 def test_config_file_merges_under_flags(tmp_path, corpus_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"vocab": 300, "kind": "wordlevel"}), encoding="utf-8")

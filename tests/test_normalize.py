@@ -92,6 +92,10 @@ def test_config_roundtrip_and_validation():
         NormalizerConfig(repeat_cap=0)
     with pytest.raises(ValueError):
         NormalizerConfig.from_dict({"no_such_flag": True})
+    for bad in ({"map_digits": "false"}, {"strip_markup": 1}, {"repeat_cap": 2.5},
+                {"repeat_cap": True}, {"repeat_cap": "2"}):
+        with pytest.raises(ValueError):
+            NormalizerConfig.from_dict(bad)
 
 
 def test_placeholders_are_fixed_points():

@@ -6,7 +6,7 @@ import weakref
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from artok.corpus import Document
 from artok.eval import evaluate_model, train_model
@@ -98,11 +98,21 @@ def test_bpe_rejects_empty_and_tiny_vocab():
         train_from_pretokens(Counter({"ab": 1}), "bpe", len(SPECIALS))
 
 
-def test_bpe_alphabet_truncation_maps_rare_symbols_to_unk():
+@pytest.mark.parametrize("kind", ["bpe", "wordpiece", "wordlevel"])
+@pytest.mark.parametrize("pretokens", [{"a b": 2}, {"": 2}, {"ab": 0}])
+def test_every_kind_rejects_invalid_pretokens(kind, pretokens):
+    with pytest.raises(ValueError, match="pre-token"):
+        train_from_pretokens(pretokens, kind, 50)
+
+
+@pytest.mark.parametrize("kind", ["bpe", "wordpiece"])
+def test_bpe_alphabet_truncation_maps_rare_symbols_to_unk(kind):
     pretokens = Counter({"aaaa": 50, "aaab": 50, "q": 1})
-    # budget of 3 alphabet slots drops the rarest symbol ('q')
-    model = train_from_pretokens(pretokens, "bpe", len(SPECIALS) + 3)
+    # budget of 3 alphabet slots drops the rarest symbol ('q'); the kept
+    # alphabet fills the vocabulary, so no merge can touch an [UNK] symbol
+    model = train_from_pretokens(pretokens, kind, len(SPECIALS) + 3)
     assert "q" not in model.vocab
+    assert model.merges == []
     enc = encode(model, "q")
     assert enc.tokens == ["[UNK]"]
     assert enc.ids == [UNK_ID]
@@ -202,6 +212,7 @@ def test_morph_marker_symbol_reaches_vocab():
     ),
     extra=st.integers(min_value=0, max_value=60),
 )
+@example(words={"aaaa": 2, "a": 1, "ab": 2}, extra=10)  # odd run of the self-pair (##a, ##a)
 def test_bpe_merge_list_matches_oracle(words, extra):
     base = len(SPECIALS) + len({s for w in words for s in word_symbols(w)})
     model = train_from_pretokens(words, "bpe", base + extra)
@@ -220,6 +231,7 @@ def test_bpe_merge_list_matches_oracle(words, extra):
     ),
     extra=st.integers(min_value=0, max_value=40),
 )
+@example(words={"aaaa": 2, "a": 1, "ab": 2}, extra=10)  # odd run of the self-pair (##a, ##a)
 def test_wordpiece_merge_list_matches_oracle(words, extra):
     base = len(SPECIALS) + len({s for w in words for s in word_symbols(w)})
     model = train_from_pretokens(words, "wordpiece", base + extra)
@@ -471,13 +483,24 @@ def test_load_rejects_missing_merges_for_bpe(tmp_path, trained_models):
 
 
 @pytest.mark.parametrize("merges", ["ab", [["a", "##b", "c"]], [5], {"a": "##b"},
-                                    [["[UNK]", "[CLS]"]]])
+                                    [["[UNK]", "[CLS]"]], [[["a"], "##b"]]])
 def test_load_rejects_malformed_merges(tmp_path, trained_models, merges):
     path = tmp_path / "m.json"
     save_model(trained_models[0], path)
     data = json.loads(path.read_text(encoding="utf-8"))
     del data["checksum"]
     data["merges"] = merges
+    path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="malformed"):
+        load_model(path)
+
+
+def test_load_rejects_non_string_vocab_entry(tmp_path, trained_models):
+    path = tmp_path / "m.json"
+    save_model(trained_models[2], path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    del data["checksum"]
+    data["vocab"][6] = 5
     path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
     with pytest.raises(ModelFormatError, match="malformed"):
         load_model(path)
