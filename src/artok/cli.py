@@ -164,7 +164,8 @@ def _add_filter_flags(p: argparse.ArgumentParser) -> None:
 _SHARED_FLAGS = {
     "--normalizer": dict(default=None, help="JSON file with normalizer settings"),
     "--clitic-table": dict(default=None, help="JSON clitic table file"),
-    "--threads": dict(type=int, default=1, help="worker processes for counting"),
+    "--threads": dict(type=int, default=1,
+                      help="worker processes for counting, and for training compare's kinds"),
 }
 
 

@@ -8,10 +8,15 @@ kinds, so cells are comparable; [UNK] counts as one emitted token.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import hashlib
 import json
 import logging
+import multiprocessing
 import random
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -20,11 +25,13 @@ from .corpus import Document
 from .morphseg import CliticTable
 from .normalize import NormalizerConfig, normalize
 from .subword import (
+    FORMAT_VERSION,
     KIND_BPE,
     KIND_BPE_MORPH,
     UNK_ID,
     ALL_KINDS,
     TokenizerModel,
+    atomic_write_text,
     count_pretokens,
     decode,
     encode,
@@ -125,24 +132,14 @@ def train_model(
     normalizer: NormalizerConfig | None = None,
     clitic_table: CliticTable | None = None,
     workers: int = 1,
-    pretoken_cache: dict | None = None,
 ) -> TokenizerModel:
-    """Train one tokenizer of any kind from filtered documents.
-
-    Pre-token counts come from count_pretokens (`workers` processes) and
-    training from train_from_pretokens. Counts depend only on the
-    pre-tokenization family (plain whitespace words vs morph segments),
-    so a caller training several kinds on the same documents passes one
-    pretoken_cache dict to count each family once.
-    """
+    """Train one tokenizer of any kind from filtered documents: pre-token
+    counts from count_pretokens (`workers` processes), then
+    train_from_pretokens."""
     normalizer = normalizer or NormalizerConfig()
-    morph = kind == KIND_BPE_MORPH
-    table = (clitic_table or CliticTable()) if morph else None
-    family = KIND_BPE_MORPH if morph else KIND_BPE
-    cache = pretoken_cache if pretoken_cache is not None else {}
-    if family not in cache:
-        cache[family] = count_pretokens(docs, family, normalizer, table, workers=workers)
-    return train_from_pretokens(cache[family], kind, vocab_size, normalizer, table)
+    table = _table(kind, clitic_table or CliticTable())
+    pretokens = count_pretokens(docs, _family(kind), normalizer, table, workers=workers)
+    return train_from_pretokens(pretokens, kind, vocab_size, normalizer, table)
 
 
 def compare_grid(
@@ -159,8 +156,13 @@ def compare_grid(
 
     Merge selection never depends on the target vocabulary size, so each
     kind trains once at max(sizes) and the smaller cells are exact
-    prefix truncations of that model. With models_dir set, bundles are
-    written there and re-loaded instead of retrained on later runs.
+    prefix truncations of that model. This process counts pre-tokens
+    once per family, then the kinds train side by side in `workers`
+    processes (here when workers <= 1) while this process truncates,
+    saves and evaluates each model in `kinds` order. With models_dir set,
+    each bundle is written there beside a `.key` file fingerprinting the
+    training inputs, and a kind whose largest bundle carries the current
+    key is re-loaded instead of retrained.
     """
     if not sizes:
         raise ValueError("sizes must be non-empty")
@@ -173,59 +175,128 @@ def compare_grid(
     train_docs, eval_docs = split_eval_docs(docs)
     log.info("grid: %d train docs, %d eval docs", len(train_docs), len(eval_docs))
 
+    v_max = max(sizes)
+    key = None
     if models_dir is not None:
         models_dir = Path(models_dir)
         models_dir.mkdir(parents=True, exist_ok=True)
+        key = _inputs_key(train_docs, normalizer, clitic_table)
+    untrained = [kind for kind in kinds
+                 if key is None or not _is_cached(models_dir, kind, v_max, key)]
+    pretokens: dict = {}
+    for kind in untrained:
+        family = _family(kind)
+        if family not in pretokens:
+            pretokens[family] = count_pretokens(
+                train_docs, family, normalizer, _table(kind, clitic_table), workers=workers,
+            )
 
+    if untrained:
+        log.info("training %s @ %d", ", ".join(untrained), v_max)
     rows: list[MetricsRow] = []
     spread: dict[str, float] = {}
-    pretoken_cache: dict = {}
-    for kind in kinds:
-        v_max = max(sizes)
-        try:
-            model_max = _cell_model(
-                kind, v_max, train_docs, normalizer, clitic_table,
-                pretoken_cache, workers, models_dir,
-            )
-            ratios = []
-            for v in sizes:
-                model_v = truncate_model(model_max, v)
-                if models_dir is not None and v != v_max:
-                    _cache_save(model_v, models_dir, kind, v)
-                log.info("evaluating %s @ %d", kind, v)
-                row = evaluate_model(model_v, eval_docs)
-                rows.append(row)
-                ratios.append(row.token_to_word)
-        except Exception as exc:
-            raise RuntimeError(f"grid cell kind={kind} sizes={list(sizes)} failed: {exc}") from exc
-        spread[kind] = _relative_spread(ratios)
+    with contextlib.ExitStack() as stack:
+        jobs = _start_training(stack, workers, {
+            kind: (pretokens[_family(kind)], kind, v_max, normalizer,
+                   _table(kind, clitic_table))
+            for kind in untrained
+        })
+        for kind in kinds:
+            try:
+                if kind in jobs:
+                    model_max, seconds = jobs[kind]()
+                    log.info("trained %s: %d merges, vocab %d/%d in %.2f s", kind,
+                             len(model_max.merges), model_max.vocab_size, v_max, seconds)
+                else:
+                    path = _cache_path(models_dir, kind, v_max)
+                    log.info("loading cached model %s", path)
+                    model_max = load_model(path)
+                ratios = []
+                for v in sizes:
+                    model_v = truncate_model(model_max, v)
+                    if key is not None and (kind in jobs
+                                            or not _is_cached(models_dir, kind, v, key)):
+                        _cache_save(model_v, models_dir, kind, v, key)
+                    log.info("evaluating %s @ %d", kind, v)
+                    row = evaluate_model(model_v, eval_docs)
+                    rows.append(row)
+                    ratios.append(row.token_to_word)
+            except Exception as exc:
+                raise RuntimeError(f"grid cell kind={kind} sizes={list(sizes)} failed: {exc}") from exc
+            spread[kind] = _relative_spread(ratios)
     return ComparisonReport(rows=rows, corpus_id=corpus_id, spread=spread)
+
+
+def _family(kind: str) -> str:
+    """Pre-token family: clitic segments for bpe_morph, plain words otherwise."""
+    return KIND_BPE_MORPH if kind == KIND_BPE_MORPH else KIND_BPE
+
+
+def _table(kind: str, clitic_table: CliticTable) -> CliticTable | None:
+    return clitic_table if kind == KIND_BPE_MORPH else None
+
+
+def _train_cell(pretokens, kind, vocab_size, normalizer, clitic_table):
+    """One grid training job, picklable for a worker process: the model
+    and its training seconds."""
+    start = time.perf_counter()
+    model = train_from_pretokens(pretokens, kind, vocab_size, normalizer, clitic_table)
+    return model, time.perf_counter() - start
+
+
+def _start_training(stack: contextlib.ExitStack, workers: int, jobs: dict) -> dict:
+    """Start `_train_cell` on every kind's arguments; returns kind -> a
+    call that gives the job's result. With more than one job and worker
+    the jobs run in a process pool that `stack` shuts down, cancelling
+    what has not started; otherwise each runs in-process when called."""
+    n = min(workers, len(jobs))
+    if n <= 1:
+        return {kind: functools.partial(_train_cell, *args) for kind, args in jobs.items()}
+    pool = ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("spawn"))
+    stack.callback(pool.shutdown, cancel_futures=True)
+    return {kind: pool.submit(_train_cell, *args).result for kind, args in jobs.items()}
+
+
+def _inputs_key(train_docs: Sequence[Document], normalizer: NormalizerConfig,
+                clitic_table: CliticTable) -> str:
+    """sha256 over everything a grid cell is made from apart from its
+    kind and size, which its file name holds."""
+    digest = hashlib.sha256(json.dumps(
+        [FORMAT_VERSION, normalizer.to_dict(), clitic_table.to_dict()],
+        ensure_ascii=False, sort_keys=True,
+    ).encode("utf-8"))
+    for doc in train_docs:
+        text = doc.text.encode("utf-8", "surrogatepass")
+        digest.update(len(text).to_bytes(8, "little"))
+        digest.update(text)
+    return digest.hexdigest()
 
 
 def _cache_path(models_dir: Path, kind: str, vocab_size: int) -> Path:
     return models_dir / f"{kind}_{vocab_size}.json"
 
 
-def _cache_save(model: TokenizerModel, models_dir: Path, kind: str, v: int) -> None:
-    path = _cache_path(models_dir, kind, v)
-    if not path.exists():
-        save_model(model, path)
+def _key_path(models_dir: Path, kind: str, vocab_size: int) -> Path:
+    # not *.json, so a models dir's bundles are exactly its *.json files
+    return models_dir / f"{kind}_{vocab_size}.key"
 
 
-def _cell_model(kind, vocab_size, train_docs, normalizer, clitic_table,
-                pretoken_cache, workers, models_dir) -> TokenizerModel:
-    if models_dir is not None:
-        path = _cache_path(models_dir, kind, vocab_size)
-        if path.exists():
-            log.info("loading cached model %s", path)
-            return load_model(path)
-    log.info("training %s @ %d", kind, vocab_size)
-    model = train_model(
-        train_docs, kind, vocab_size, normalizer, clitic_table, workers, pretoken_cache,
-    )
-    if models_dir is not None:
-        _cache_save(model, models_dir, kind, vocab_size)
-    return model
+def _is_cached(models_dir: Path, kind: str, v: int, key: str) -> bool:
+    """Whether the cell's bundle exists and was made from inputs with this key."""
+    try:
+        stored = _key_path(models_dir, kind, v).read_bytes()
+    except FileNotFoundError:
+        return False
+    return stored == key.encode("ascii") and _cache_path(models_dir, kind, v).exists()
+
+
+def _cache_save(model: TokenizerModel, models_dir: Path, kind: str, v: int, key: str) -> None:
+    # the old key goes first and the new one last, so an interrupted save
+    # leaves a cell that retrains whatever inputs come next
+    key_path = _key_path(models_dir, kind, v)
+    key_path.unlink(missing_ok=True)
+    save_model(model, _cache_path(models_dir, kind, v))
+    atomic_write_text(key_path, key)
 
 
 def roundtrip_audit(

@@ -38,7 +38,7 @@ MIN_PAIR_FREQ = 2
 
 def _check_pretokens(pretokens: Mapping[str, int]) -> None:
     for word, cnt in pretokens.items():
-        if not word or any(ch.isspace() for ch in word):
+        if word.split() != [word]:  # empty or holding whitespace
             raise ValueError(f"invalid pre-token surface: {word!r}")
         if cnt < 1:
             raise ValueError(f"pre-token count must be >= 1: {word!r} -> {cnt}")
@@ -59,10 +59,11 @@ class _MergeEngine:
             raise ValueError("pretokens must be non-empty")
         _check_pretokens(pretokens)
         items = sorted(pretokens.items())
+        symbols = [word_symbols(word) for word, _ in items]
 
         occ_counts: Counter = Counter()
-        for word, cnt in items:
-            for sym in word_symbols(word):
+        for syms, (_, cnt) in zip(symbols, items):
+            for sym in syms:
                 occ_counts[sym] += cnt
         ranked = sorted(occ_counts.items(), key=lambda kv: (-kv[1], kv[0]))
         if len(ranked) > max_alphabet:
@@ -82,8 +83,8 @@ class _MergeEngine:
         self.pair_words: dict[tuple[int, int], set[int]] = {}
         pair_cnt = self.pair_cnt
         pair_words = self.pair_words
-        for widx, (word, cnt) in enumerate(items):
-            syms = [sym_ids.get(s, UNK_ID) for s in word_symbols(word)]
+        for widx, (strs, (_, cnt)) in enumerate(zip(symbols, items)):
+            syms = [sym_ids.get(s, UNK_ID) for s in strs]
             self.words.append(syms)
             self.word_counts.append(cnt)
             for pair in zip(syms, syms[1:]):

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import pytest
 
@@ -187,6 +188,16 @@ def test_compare_size_a_kind_cannot_train_is_a_data_error(tmp_path, corpus_path,
     assert rc == 2
     assert out == ""
     assert "kind=bpe" in caplog.text
+
+
+def test_compare_in_worker_processes_size_a_kind_cannot_train_is_a_data_error(
+        tmp_path, corpus_path, capsys, caplog):
+    rc, out, _ = run(capsys, "compare", "--corpus", str(corpus_path), "--threads", "2",
+                     "--sizes", "1", "--out-dir", str(tmp_path / "grid"))
+    assert rc == 2
+    assert out == ""
+    assert "kind=bpe" in caplog.text
+    assert multiprocessing.active_children() == []
 
 
 def test_config_file_merges_under_flags(tmp_path, corpus_path, capsys):

@@ -1,4 +1,7 @@
+import logging
+import multiprocessing
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
 
@@ -14,7 +17,8 @@ from artok.eval import (
     split_eval_docs,
     train_model,
 )
-from artok.subword import load_model
+from artok.normalize import NormalizerConfig
+from artok.subword import ALL_KINDS, load_model
 from artok.trainers import train_from_pretokens
 
 
@@ -120,6 +124,67 @@ def test_compare_grid_uses_cache(small_corpus, tmp_path):
                           models_dir=models_dir, corpus_id="x")
     assert (models_dir / "bpe_50.json").stat().st_mtime_ns == stamp
     assert [r.token_to_word for r in first.rows] == [r.token_to_word for r in second.rows]
+
+
+def _grid_files(models_dir):
+    return {p.name: p.read_bytes() for p in sorted(models_dir.iterdir())}
+
+
+def _rows_but_speed(report):
+    return [{k: v for k, v in asdict(r).items() if k != "words_per_sec"} for r in report.rows]
+
+
+@pytest.mark.parametrize("change", ["corpus", "normalizer", "no key"])
+def test_compare_grid_retrains_a_cache_made_from_other_inputs(small_corpus, tmp_path, change):
+    english = docs(*([
+        "the new book speaks of the old city",
+        "people read the news and the papers every day",
+        "the big city has many libraries and books",
+    ] * 5))
+    # what the cache was made from, then what the grid runs on
+    first, corpus, normalizer = small_corpus, english, None
+    if change == "normalizer":
+        corpus, normalizer = small_corpus, NormalizerConfig(remove_diacritics=False)
+    elif change == "no key":
+        first, corpus = english, small_corpus
+    stale = tmp_path / "stale"
+    compare_grid(first, kinds=("bpe",), sizes=(40, 60), models_dir=stale)
+    if change == "no key":  # a models dir written before cells carried keys
+        for key in stale.glob("*.key"):
+            key.unlink()
+    reused = compare_grid(corpus, kinds=("bpe",), sizes=(40, 60), normalizer=normalizer,
+                          models_dir=stale)
+    fresh = compare_grid(corpus, kinds=("bpe",), sizes=(40, 60), normalizer=normalizer,
+                         models_dir=tmp_path / "fresh")
+    assert _rows_but_speed(reused) == _rows_but_speed(fresh)
+    assert [r.unk_rate for r in reused.rows] == [0.0, 0.0]
+    assert _grid_files(stale) == _grid_files(tmp_path / "fresh")
+
+
+def test_compare_grid_workers_train_the_same_grid(small_corpus, tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="artok.eval")
+    reports = {}
+    for workers in (2, 1):
+        reports[workers] = compare_grid(small_corpus, sizes=(40, 70), workers=workers,
+                                        models_dir=tmp_path / str(workers))
+    assert _rows_but_speed(reports[2]) == _rows_but_speed(reports[1])
+    assert [r.kind for r in reports[2].rows] == [k for k in ALL_KINDS for _ in (40, 70)]
+    assert reports[2].spread == reports[1].spread
+    files = _grid_files(tmp_path / "2")
+    assert len(files) == 2 * len(ALL_KINDS) * 2  # a bundle and a key per cell
+    assert files == _grid_files(tmp_path / "1")
+    assert multiprocessing.active_children() == []
+    # one progress line per kind from each grid, in kinds order
+    trained = [r.getMessage() for r in caplog.records if r.getMessage().startswith("trained ")]
+    assert [m.split(":")[0] for m in trained] == [f"trained {k}" for k in ALL_KINDS] * 2
+    assert all("/70 in " in m for m in trained)
+
+
+def test_compare_grid_worker_failure_names_the_cell_and_ends_the_pool(small_corpus):
+    with pytest.raises(RuntimeError, match="kind=bpe") as info:
+        compare_grid(small_corpus, sizes=(1,), workers=2)
+    assert isinstance(info.value.__cause__, ValueError)
+    assert multiprocessing.active_children() == []
 
 
 def test_compare_grid_validates_arguments(small_corpus):

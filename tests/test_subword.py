@@ -29,7 +29,7 @@ from artok.subword import (
     truncate_model,
     word_symbols,
 )
-from artok.trainers import train_from_pretokens
+from artok.trainers import _check_pretokens, train_from_pretokens
 
 from oracles import oracle_bpe, oracle_decode, oracle_wordpiece
 
@@ -103,6 +103,16 @@ def test_bpe_rejects_empty_and_tiny_vocab():
 def test_every_kind_rejects_invalid_pretokens(kind, pretokens):
     with pytest.raises(ValueError, match="pre-token"):
         train_from_pretokens(pretokens, kind, 50)
+
+
+def test_pretoken_check_rejects_exactly_the_isspace_code_points():
+    chars = [chr(i) for i in range(0x110000)]
+    _check_pretokens({"a" + ch + "b": 1 for ch in chars if not ch.isspace()})
+    spaces = [ch for ch in chars if ch.isspace()]
+    assert len(spaces) > 20
+    for ch in spaces:
+        with pytest.raises(ValueError, match="pre-token surface"):
+            _check_pretokens({"a" + ch + "b": 1})
 
 
 @pytest.mark.parametrize("kind", ["bpe", "wordpiece"])
