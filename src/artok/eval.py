@@ -14,9 +14,11 @@ import hashlib
 import json
 import logging
 import multiprocessing
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -169,6 +171,11 @@ def compare_grid(
     for kind in kinds:
         if kind not in ALL_KINDS:
             raise ValueError(f"unknown tokenizer kind: {kind!r}")
+    # A grid worker re-running an unguarded main script while it starts
+    # (multiprocessing's own flag for that phase) stops here, before it
+    # forks counting workers that would outlive it when the pool ends it.
+    if workers > 1 and getattr(multiprocessing.current_process(), "_inheriting", False):
+        raise RuntimeError(f"compare_grid called while a worker process starts: {_MAIN_GUARD}")
     normalizer = normalizer or NormalizerConfig()
     clitic_table = clitic_table or CliticTable()
     docs = list(corpus)
@@ -236,6 +243,10 @@ def _table(kind: str, clitic_table: CliticTable) -> CliticTable | None:
     return clitic_table if kind == KIND_BPE_MORPH else None
 
 
+_MAIN_GUARD = ("a script that calls compare_grid with workers > 1 must make that "
+               "call under an `if __name__ == \"__main__\":` guard")
+
+
 def _train_cell(pretokens, kind, vocab_size, normalizer, clitic_table):
     """One grid training job, picklable for a worker process: the model
     and its training seconds."""
@@ -254,6 +265,15 @@ def _start_training(stack: contextlib.ExitStack, workers: int, jobs: dict) -> di
         return {kind: functools.partial(_train_cell, *args) for kind, args in jobs.items()}
     pool = ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("spawn"))
     stack.callback(pool.shutdown, cancel_futures=True)
+    # A spawned worker starts by re-running the caller's main script. One
+    # that dies there must do so before the jobs' large arguments are
+    # queued: a pipe nobody reads would hold the pool's shutdown forever.
+    # One tiny call per worker starts them all at once.
+    try:
+        for started in [pool.submit(os.getpid) for _ in range(n)]:
+            started.result()
+    except BrokenProcessPool as exc:
+        raise RuntimeError(f"grid worker processes exited while starting: {_MAIN_GUARD}") from exc
     return {kind: pool.submit(_train_cell, *args).result for kind, args in jobs.items()}
 
 

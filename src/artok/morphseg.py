@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,6 +50,9 @@ DEFAULT_ENCLITICS: tuple[str, ...] = (
 )
 
 DETERMINER = "ال"
+
+# An inner token that starts and ends with "+", a lone "+" included.
+_BOTH_ENDS_MARKED = re.compile(r" \+(?:[^ ]*\+)? ")
 
 
 @dataclass
@@ -181,7 +185,22 @@ def desegment_text(segmented: str) -> str:
 
     A dangling marker (enclitic with nothing before it, proclitic with
     nothing after) is reported and stripped best-effort.
+
+    Regular text (printable and single-space separated, no marker
+    dangling at either end or between a proclitic and an enclitic, no
+    token marked at both ends) takes two C-level replaces, which give
+    exactly what the token loop below gives; any other text goes
+    through that loop.
     """
+    if (
+        "  " not in segmented
+        and "+ +" not in segmented
+        and not segmented.startswith(("+", " "))
+        and not segmented.endswith(("+", " "))
+        and segmented.isprintable()
+        and _BOTH_ENDS_MARKED.search(segmented) is None
+    ):
+        return segmented.replace("+ ", "").replace(" +", "")
     words: list[str] = []
     pending = ""
     for token in segmented.split():

@@ -4,13 +4,14 @@ The brute-force trainers recount every pair from scratch each round and
 never share code with the incremental engine, so agreement between the
 two is a real check, not a tautology. oracle_decode is the token-by-token
 decode that reads each token's role from its string, kept as the
-reference for the table decode in artok.subword.
+reference for the table decode in artok.subword; oracle_desegment is the
+token loop that resolves its clitic markers, the reference for
+artok.morphseg.desegment_text.
 """
 
 from collections import Counter
 from fractions import Fraction
 
-from artok.morphseg import desegment_text
 from artok.subword import (
     CONT_PREFIX,
     KIND_BPE_MORPH,
@@ -107,6 +108,28 @@ def oracle_wordpiece(pretokens, vocab_size, min_pair_freq=MIN_PAIR_FREQ):
     return vocab, merges
 
 
+def oracle_desegment(segmented):
+    """Glue "X+" to the next token and "+X" to the previous one,
+    stripping markers; a dangling marker is stripped best-effort."""
+    words: list[str] = []
+    pending = ""
+    for token in segmented.split():
+        if len(token) > 1 and token.endswith("+") and not token.startswith("+"):
+            pending += token[:-1]
+        elif len(token) > 1 and token.startswith("+"):
+            if words and not pending:
+                words[-1] += token[1:]
+            else:
+                words.append(pending + token[1:])
+                pending = ""
+        else:
+            words.append(pending + token)
+            pending = ""
+    if pending:
+        words.append(pending)
+    return " ".join(words)
+
+
 def oracle_decode(model, ids):
     """Map ids back to text: continuations glue to the previous piece,
     other tokens join with single spaces, reserved tokens other than
@@ -127,5 +150,5 @@ def oracle_decode(model, ids):
             pieces.append(tok)
     text = " ".join(pieces)
     if model.kind == KIND_BPE_MORPH:
-        text = desegment_text(text)
+        text = oracle_desegment(text)
     return text

@@ -1,10 +1,17 @@
 import logging
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 from collections import Counter
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
+import artok
 from artok.corpus import Document
 from artok.eval import (
     REPORT_CSV_HEADER,
@@ -185,6 +192,68 @@ def test_compare_grid_worker_failure_names_the_cell_and_ends_the_pool(small_corp
         compare_grid(small_corpus, sizes=(1,), workers=2)
     assert isinstance(info.value.__cause__, ValueError)
     assert multiprocessing.active_children() == []
+
+
+# Enough text that the training jobs' arguments overfill a pipe, as a
+# real corpus's do; no __main__ guard, so every spawned worker re-runs it.
+UNGUARDED_GRID_SCRIPT = """
+import random
+from artok.corpus import Document
+from artok.eval import compare_grid
+
+rng = random.Random(0)
+letters = "ابتثجحخدذرزسشصضطظعغفقكلمنهوي"
+docs = [Document(id=str(i), text=" ".join(
+    "".join(rng.choice(letters) for _ in range(rng.randint(3, 8))) for _ in range(2000)))
+    for i in range(20)]
+compare_grid(docs, sizes=(40,), workers=2)
+"""
+
+
+def _live_processes_in_group(pgid):
+    live = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat") as f:
+                state, _, group = f.read().rsplit(")", 1)[1].split()[:3]
+        except OSError:
+            continue
+        if int(group) == pgid and state != "Z":
+            live.append(int(pid))
+    return live
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="lists processes from /proc")
+def test_compare_grid_workers_without_main_guard_fail_fast(tmp_path):
+    script = tmp_path / "unguarded.py"
+    script.write_text(UNGUARDED_GRID_SCRIPT, encoding="utf-8")
+    src = str(Path(artok.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    # stderr goes to a file: a process left behind holding a pipe would
+    # look like a hang of the script itself
+    err_path = tmp_path / "stderr.txt"
+    with open(err_path, "wb") as err:
+        proc = subprocess.Popen([sys.executable, str(script)], stdout=subprocess.DEVNULL,
+                                stderr=err, env=env, start_new_session=True)
+    try:
+        proc.wait(timeout=60)
+        hung = False
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        hung = True
+    # the pool's resource tracker may take a moment to see the script gone
+    deadline = time.monotonic() + 10
+    while _live_processes_in_group(proc.pid) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    left = _live_processes_in_group(proc.pid)
+    if left:
+        os.killpg(proc.pid, signal.SIGKILL)
+    assert not hung, "compare_grid hung instead of failing"
+    assert left == []
+    assert proc.returncode != 0
+    last_line = err_path.read_text(encoding="utf-8").strip().splitlines()[-1]
+    assert last_line.startswith("RuntimeError") and 'if __name__ == "__main__":' in last_line
 
 
 def test_compare_grid_validates_arguments(small_corpus):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,8 @@ from artok.morphseg import (
     segment_word,
 )
 from artok.normalize import normalize
+
+from oracles import oracle_desegment
 
 
 def test_segments_verb_with_object_pronoun():
@@ -66,6 +70,37 @@ def test_desegment_text():
 def test_desegment_dangling_markers_best_effort():
     assert desegment_text("+ها كتاب") == "ها كتاب"
     assert desegment_text("و+") == "و"
+
+
+@pytest.mark.parametrize("text", [
+    "a + b",      # lone marker token
+    "c++ x",      # proclitic-looking token ending in two markers
+    "+ها كتب",    # leading dangling enclitic
+    "كتب و+",     # trailing dangling proclitic
+    "و+ +ها",     # proclitic straight before an enclitic
+    "x +a+ y",    # token marked at both ends
+    "a  +b",      # double space
+    "a\t+b",      # whitespace other than a single space
+    " +ها",       # leading space
+    " a",
+    "a ",         # trailing space
+    "",
+])
+def test_desegment_text_matches_the_token_loop_at_each_guard(text):
+    assert desegment_text(text) == oracle_desegment(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.text(alphabet="+ \t\xa0\u200caبو", max_size=16))
+def test_desegment_text_matches_the_token_loop(text):
+    assert desegment_text(text) == oracle_desegment(text)
+
+
+def test_desegment_text_matches_the_token_loop_exhaustively():
+    texts = ["".join(chars) for n in range(7)
+             for chars in itertools.product("+ a\tب", repeat=n)]
+    assert len(texts) == 19531
+    assert [desegment_text(t) for t in texts] == [oracle_desegment(t) for t in texts]
 
 
 def test_custom_table_roundtrip(tmp_path):
