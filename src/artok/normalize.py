@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, asdict
+from functools import lru_cache
 
 TATWEEL = "ـ"
 
@@ -51,6 +52,9 @@ class Placeholders:
     url: str = "[URL]"
     mention: str = "[USER]"
     email: str = "[EMAIL]"
+
+
+_DEFAULT_PLACEHOLDERS = Placeholders()
 
 
 @dataclass
@@ -114,6 +118,8 @@ def strip_markup(text: str) -> str:
     fully removed in one call; no structural HTML parse is attempted.
     A lone '<' with no closing '>' is left untouched.
     """
+    if "<" not in text and "&" not in text:
+        return text
     while True:
         out = _TAG_RE.sub("", text)
         for entity, char in _ENTITIES:
@@ -135,15 +141,26 @@ def replace_entities(
 
     URLs are matched first so an address inside a link is not clipped,
     and emails before mentions so "a@b.com" is not read as mention "@b".
+    Each pass runs only when the literal every match holds ("://" or
+    "www.", "@") is in the text; most texts hold none.
     """
-    ph = placeholders or Placeholders()
-    if urls:
+    ph = placeholders or _DEFAULT_PLACEHOLDERS
+    if urls and ("://" in text or "www." in text):
         text = _URL_RE.sub(ph.url, text)
-    if emails:
-        text = _EMAIL_RE.sub(ph.email, text)
-    if mentions:
-        text = _MENTION_RE.sub(ph.mention, text)
+    # Looked for after the URL pass: a custom URL placeholder may hold one.
+    if "@" in text:
+        if emails:
+            text = _EMAIL_RE.sub(ph.email, text)
+        if mentions:
+            text = _MENTION_RE.sub(ph.mention, text)
     return text
+
+
+@lru_cache(maxsize=8)
+def _repeat_pattern(cap: int) -> re.Pattern:
+    # Any character repeated more than cap times; "." costs less than a
+    # "\D" class test at every position scanned.
+    return re.compile(r"(.)%s\1+" % (r"\1" * (cap - 1)), re.S)
 
 
 def collapse_repeats(text: str, cap: int = 2) -> str:
@@ -153,8 +170,12 @@ def collapse_repeats(text: str, cap: int = 2) -> str:
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    pattern = re.compile(r"(\D)\1{%d,}" % cap)
-    return pattern.sub(lambda m: m.group(1) * cap, text)
+
+    def shorten(m: re.Match) -> str:
+        ch = m.group(1)
+        # str.isdecimal is exactly re's \d: a digit run stays as it is
+        return m.group() if ch.isdecimal() else ch * cap
+    return _repeat_pattern(cap).sub(shorten, text)
 
 
 def normalize(text: str, cfg: NormalizerConfig | None = None) -> str:

@@ -14,7 +14,10 @@ import hashlib
 import json
 import logging
 import os
+import re
 import tempfile
+import threading
+import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -154,6 +157,17 @@ def _count_shard(texts: list[str], kind: str, normalizer: NormalizerConfig,
     return segments
 
 
+def _exit_with_parent(parent: int) -> None:
+    """Pool initializer: end this worker once the process that made it is
+    gone. A forked worker of a killed caller would otherwise block for
+    good on a pipe whose other end a sibling worker holds open."""
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def count_pretokens(
     corpus: Iterable[Document],
     kind: str,
@@ -176,7 +190,8 @@ def count_pretokens(
     if workers <= 1:
         return _count_shard(texts, *args)
     counts: Counter = Counter()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent,
+                             initargs=(os.getpid(),)) as pool:
         futures = [pool.submit(_count_shard, texts[i::workers], *args)
                    for i in range(workers)]
         for fut in futures:
@@ -339,6 +354,24 @@ def _checksum(payload: dict) -> str:
     return hashlib.sha256(_dumps(payload).encode("utf-8")).hexdigest()
 
 
+_CHECKSUM_HEAD = re.compile(rb'\{"checksum":"([0-9a-f]{64})",')
+
+
+def _bundle_checksum(raw: bytes, data: dict) -> str:
+    """The checksum of the payload `data` parsed from the bundle bytes
+    `raw`. save_model writes the canonical payload with the checksum field
+    first (keys are sorted), so when the bytes without that field hash to
+    it, they are the canonical bytes and `data` need not be serialized
+    again. Bytes in any other layout, such as a re-indented bundle, are
+    checked by serializing `data` as save_model does."""
+    head = _CHECKSUM_HEAD.match(raw)
+    if head:
+        digest = hashlib.sha256(b"{" + raw[head.end():].rstrip(b"\n")).hexdigest()
+        if digest == head.group(1).decode():
+            return digest
+    return _checksum(data)
+
+
 def atomic_write_text(path: str | Path, content: str) -> None:
     """Write via a temp file in the target directory plus rename, so a
     failure never leaves a partial output file."""
@@ -402,13 +435,13 @@ def _merge_pairs(pairs: list) -> list[tuple[str, str]]:
 
 
 def load_model(path: str | Path) -> TokenizerModel:
-    with open(path, encoding="utf-8") as f:
-        data = json.load(f)
+    raw = Path(path).read_bytes()
+    data = json.loads(raw.decode("utf-8"))
     version = data.get("format_version")
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model format version: {version!r}")
     stored = data.pop("checksum", None)
-    if stored is not None and stored != _checksum(data):
+    if stored is not None and stored != _bundle_checksum(raw, data):
         raise ModelFormatError("model bundle checksum mismatch")
     if data.get("kind") != KIND_WORDLEVEL and "merges" not in data:
         raise ModelFormatError(f"kind {data.get('kind')!r} requires a merge list")

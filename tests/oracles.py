@@ -6,9 +6,12 @@ two is a real check, not a tautology. oracle_decode is the token-by-token
 decode that reads each token's role from its string, kept as the
 reference for the table decode in artok.subword; oracle_desegment is the
 token loop that resolves its clitic markers, the reference for
-artok.morphseg.desegment_text.
+artok.morphseg.desegment_text; oracle_normalize runs every pass of the
+cleaning pipeline on every text, the reference for artok.normalize's
+gated passes.
 """
 
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -22,6 +25,14 @@ from artok.subword import (
 )
 
 MIN_PAIR_FREQ = 2
+
+_DIACRITICS_RE = re.compile("[\u064b-\u0652\u0670]")
+_DIGIT_PAIRS = tuple(zip("٠١٢٣٤٥٦٧٨٩" "۰۱۲۳۴۵۶۷۸۹", "0123456789" * 2))
+_TAG_RE = re.compile(r"<[^>]*>")
+_ENTITIES = [("&lt;", "<"), ("&gt;", ">"), ("&quot;", '"'), ("&nbsp;", " "), ("&amp;", "&")]
+_URL_RE = re.compile(r"(?:[A-Za-z][A-Za-z0-9+.-]*://|www\.)\S+")
+_EMAIL_RE = re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9-]+(?:\.[A-Za-z0-9-]+)*\.[A-Za-z]{2,}")
+_MENTION_RE = re.compile(r"@\w+")
 
 
 def _alphabet(pretokens):
@@ -152,3 +163,36 @@ def oracle_decode(model, ids):
     if model.kind == KIND_BPE_MORPH:
         text = oracle_desegment(text)
     return text
+
+
+
+def oracle_normalize(text, cfg):
+    """The cleaning pipeline with nothing skipped: every enabled pass
+    scans every text, and repeats are found by a "\\D" class."""
+    if cfg.remove_tatweel:
+        text = text.replace("\u0640", "")
+    if cfg.remove_diacritics:
+        text = _DIACRITICS_RE.sub("", text)
+    if cfg.map_digits:
+        for digit, ascii_digit in _DIGIT_PAIRS:
+            if digit in text:
+                text = text.replace(digit, ascii_digit)
+    if cfg.strip_markup:
+        while True:
+            out = _TAG_RE.sub("", text)
+            for entity, char in _ENTITIES:
+                out = out.replace(entity, char)
+            if out == text:
+                break
+            text = out
+    if cfg.replace_urls:
+        text = _URL_RE.sub("[URL]", text)
+    if cfg.replace_emails:
+        text = _EMAIL_RE.sub("[EMAIL]", text)
+    if cfg.replace_mentions:
+        text = _MENTION_RE.sub("[USER]", text)
+    if cfg.collapse_repeats:
+        cap = cfg.repeat_cap
+        pattern = re.compile(r"(\D)\1{%d,}" % cap)
+        text = pattern.sub(lambda m: m.group(1) * cap, text)
+    return " ".join(text.split())

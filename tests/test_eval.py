@@ -256,6 +256,64 @@ def test_compare_grid_workers_without_main_guard_fail_fast(tmp_path):
     assert last_line.startswith("RuntimeError") and 'if __name__ == "__main__":' in last_line
 
 
+# Mostly distinct words, so each worker segments for a while and sends
+# back a counter far larger than a pipe holds.
+COUNTING_SCRIPT = """
+import random
+from artok.corpus import Document
+from artok.morphseg import CliticTable
+from artok.normalize import NormalizerConfig
+from artok.subword import count_pretokens
+
+rng = random.Random(0)
+letters = "ابتثجحخدذرزسشصضطظعغفقكلمنهوي"
+docs = [Document(id=str(i), text=" ".join(
+    "".join(rng.choice(letters) for _ in range(rng.randint(3, 8))) for _ in range(2000)))
+    for i in range(100)]
+count_pretokens(docs, "bpe_morph", NormalizerConfig(), CliticTable(), workers=2)
+"""
+
+
+def _children(parent):
+    found = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat") as f:
+                ppid = int(f.read().rsplit(")", 1)[1].split()[1])
+        except OSError:
+            continue
+        if ppid == parent:
+            found.append(int(pid))
+    return found
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="lists processes from /proc")
+def test_count_pretokens_workers_exit_when_the_caller_is_killed(tmp_path):
+    script = tmp_path / "count.py"
+    script.write_text(COUNTING_SCRIPT, encoding="utf-8")
+    src = str(Path(artok.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, str(script)], stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL, env=env, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while len(_children(proc.pid)) < 2 and proc.poll() is None \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        workers = _children(proc.pid)
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait()
+        deadline = time.monotonic() + 10
+        while _live_processes_in_group(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        left = _live_processes_in_group(proc.pid)
+    finally:
+        if _live_processes_in_group(proc.pid):
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert len(workers) == 2, "the caller never started its two counting workers"
+    assert left == []
+
+
 def test_compare_grid_validates_arguments(small_corpus):
     with pytest.raises(ValueError):
         compare_grid(small_corpus, sizes=())

@@ -4,6 +4,8 @@ import unicodedata
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import oracle_normalize
+
 from artok.normalize import (
     NormalizerConfig,
     Placeholders,
@@ -47,6 +49,8 @@ def test_replace_entities():
 def test_replace_entities_custom_placeholders():
     ph = Placeholders(url="<u>", mention="<m>", email="<e>")
     assert replace_entities("www.x.com a@b.de @c", ph) == "<u> <e> <m>"
+    # a URL placeholder may itself hold a mention
+    assert replace_entities("see www.x.com", Placeholders(url="@link")) == "see [USER]"
 
 
 def test_collapse_repeats():
@@ -115,21 +119,27 @@ ADVERSARIAL = st.lists(
     max_size=12,
 ).map("".join)
 
-CONFIGS = st.builds(
-    NormalizerConfig,
-    strip_markup=st.booleans(),
-    replace_urls=st.booleans(),
-    replace_mentions=st.booleans(),
-    replace_emails=st.booleans(),
-    remove_tatweel=st.booleans(),
-    remove_diacritics=st.booleans(),
-    map_digits=st.booleans(),
-    collapse_repeats=st.booleans(),
-    # cap=1 can forge entity names out of repeats ("&aamp;" -> "&amp;"),
-    # which the pipeline order (markup first) cannot re-strip; the cap=1
-    # domain is covered separately on entity-free text.
-    repeat_cap=st.integers(min_value=2, max_value=4),
-)
+
+
+def configs(min_cap):
+    return st.builds(
+        NormalizerConfig,
+        strip_markup=st.booleans(),
+        replace_urls=st.booleans(),
+        replace_mentions=st.booleans(),
+        replace_emails=st.booleans(),
+        remove_tatweel=st.booleans(),
+        remove_diacritics=st.booleans(),
+        map_digits=st.booleans(),
+        collapse_repeats=st.booleans(),
+        repeat_cap=st.integers(min_value=min_cap, max_value=4),
+    )
+
+
+# cap=1 can forge entity names out of repeats ("&aamp;" -> "&amp;"),
+# which the pipeline order (markup first) cannot re-strip; the cap=1
+# domain is covered separately on entity-free text.
+CONFIGS = configs(min_cap=2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -149,6 +159,31 @@ def test_normalize_idempotent_cap_one(text):
     cfg = NormalizerConfig(repeat_cap=1)
     once = normalize(text, cfg)
     assert normalize(once, cfg) == once
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=ADVERSARIAL, cfg=configs(min_cap=1))
+def test_normalize_matches_the_ungated_pipeline(text, cfg):
+    assert normalize(text, cfg) == oracle_normalize(text, cfg)
+
+
+# One text at each pass's gate: its trigger literal, a run of digits of
+# each kind (ASCII, Arabic-Indic, a non-Arabic Nd), and runs that collapse.
+@pytest.mark.parametrize("text", ["http://x", "www.x", "x@y.zz", "@u", "<b>", "&amp;lt;",
+                                  "1111", "١١١١", "𝟘𝟘𝟘", "ـــ", "\n\n\n", "ههههه"])
+@pytest.mark.parametrize("cap", [1, 2, 3, 4])
+@pytest.mark.parametrize("flags", [{}, {"map_digits": False, "remove_tatweel": False,
+                                        "replace_urls": False}])
+def test_normalize_matches_the_ungated_pipeline_at_each_gate(text, cap, flags):
+    cfg = NormalizerConfig(repeat_cap=cap, **flags)
+    assert normalize(text, cfg) == oracle_normalize(text, cfg)
+
+
+def test_re_digit_is_str_isdecimal_on_every_code_point():
+    # collapse_repeats hands back a run whose character isdecimal, where
+    # its older pattern skipped runs of \d
+    digit = re.compile(r"\d")
+    assert [c for c in map(chr, range(0x110000)) if bool(digit.match(c)) != c.isdecimal()] == []
 
 
 @settings(max_examples=150, deadline=None)

@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from artok import subword
 from artok.corpus import Document
 from artok.eval import evaluate_model, train_model
 from artok.morphseg import CliticTable
@@ -524,6 +525,31 @@ def test_load_rejects_tampered_bundle(tmp_path, trained_models):
     path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
     with pytest.raises(ModelFormatError, match="checksum"):
         load_model(path)
+
+
+@pytest.mark.parametrize("layout", ["as saved", "re-indented"])
+def test_load_verifies_the_checksum_in_any_layout(tmp_path, trained_models, monkeypatch,
+                                                  layout):
+    model = trained_models[0]
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    text = path.read_text(encoding="utf-8")
+    if layout == "re-indented":
+        text = json.dumps(json.loads(text), ensure_ascii=False, indent=2)
+    else:  # the saved bytes carry their own proof; nothing is serialized again
+        monkeypatch.setattr(subword, "_checksum", None)
+    path.write_text(text, encoding="utf-8")
+    assert load_model(path) == model
+    # one byte of a vocab entry: "##..." becomes "#$..."
+    at = text.index('"##', text.index('"vocab"')) + 2
+    path.write_text(text[:at] + "$" + text[at + 1:], encoding="utf-8")
+    monkeypatch.undo()
+    with pytest.raises(ModelFormatError, match="checksum"):
+        load_model(path)
+    data = json.loads(text)
+    del data["checksum"]
+    path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    assert load_model(path) == model
 
 
 def test_load_rejects_version_mismatch(tmp_path, trained_models):
