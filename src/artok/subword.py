@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import multiprocessing
 import os
 import re
 import tempfile
@@ -157,12 +158,13 @@ def _count_shard(texts: list[str], kind: str, normalizer: NormalizerConfig,
     return segments
 
 
-def _exit_with_parent(parent: int) -> None:
-    """Pool initializer: end this worker once the process that made it is
-    gone. A forked worker of a killed caller would otherwise block for
-    good on a pipe whose other end a sibling worker holds open."""
+def _exit_with_parent(caller: int) -> None:
+    """Pool initializer: end this worker once `caller`, the process that
+    made the pool and this worker's parent, is gone. A worker of a killed
+    caller would otherwise block for good on a pipe whose other end a
+    sibling worker holds open."""
     def watch():
-        while os.getppid() == parent:
+        while os.getppid() == caller:
             time.sleep(0.5)
         os._exit(1)
     threading.Thread(target=watch, daemon=True).start()
@@ -189,9 +191,14 @@ def count_pretokens(
     workers = min(workers, len(texts))
     if workers <= 1:
         return _count_shard(texts, *args)
+    # Forked where the platform can fork, whatever the default start
+    # method: a fork server's workers would be its children, and it
+    # outlives a killed caller while they hold its pipes.
+    context = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn")
     counts: Counter = Counter()
-    with ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent,
-                             initargs=(os.getpid(),)) as pool:
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context,
+                             initializer=_exit_with_parent, initargs=(os.getpid(),)) as pool:
         futures = [pool.submit(_count_shard, texts[i::workers], *args)
                    for i in range(workers)]
         for fut in futures:
@@ -360,10 +367,13 @@ _CHECKSUM_HEAD = re.compile(rb'\{"checksum":"([0-9a-f]{64})",')
 def _bundle_checksum(raw: bytes, data: dict) -> str:
     """The checksum of the payload `data` parsed from the bundle bytes
     `raw`. save_model writes the canonical payload with the checksum field
-    first (keys are sorted), so when the bytes without that field hash to
-    it, they are the canonical bytes and `data` need not be serialized
-    again. Bytes in any other layout, such as a re-indented bundle, are
-    checked by serializing `data` as save_model does."""
+    first (keys are sorted). When the bytes without that field hash to
+    it, the file's own bytes are trusted as the payload and `data` is not
+    serialized again; bytes in any other layout, such as a re-indented
+    bundle, are checked by serializing `data` as save_model does. So a
+    hand-made bundle whose leading checksum is the hash of its own
+    non-canonical bytes (a duplicated key, say) loads, where comparing
+    against the canonical serialization would reject it."""
     head = _CHECKSUM_HEAD.match(raw)
     if head:
         digest = hashlib.sha256(b"{" + raw[head.end():].rstrip(b"\n")).hexdigest()

@@ -257,21 +257,37 @@ def test_compare_grid_workers_without_main_guard_fail_fast(tmp_path):
 
 
 # Mostly distinct words, so each worker segments for a while and sends
-# back a counter far larger than a pipe holds.
+# back a counter far larger than a pipe holds. argv: start method, number
+# of 2,000-word documents.
 COUNTING_SCRIPT = """
+import multiprocessing
 import random
+import sys
 from artok.corpus import Document
 from artok.morphseg import CliticTable
 from artok.normalize import NormalizerConfig
 from artok.subword import count_pretokens
 
-rng = random.Random(0)
-letters = "ابتثجحخدذرزسشصضطظعغفقكلمنهوي"
-docs = [Document(id=str(i), text=" ".join(
-    "".join(rng.choice(letters) for _ in range(rng.randint(3, 8))) for _ in range(2000)))
-    for i in range(100)]
-count_pretokens(docs, "bpe_morph", NormalizerConfig(), CliticTable(), workers=2)
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    rng = random.Random(0)
+    letters = "ابتثجحخدذرزسشصضطظعغفقكلمنهوي"
+    docs = [Document(id=str(i), text=" ".join(
+        "".join(rng.choice(letters) for _ in range(rng.randint(3, 8))) for _ in range(2000)))
+        for i in range(int(sys.argv[2]))]
+    args = (docs, "bpe_morph", NormalizerConfig(), CliticTable())
+    assert count_pretokens(*args, workers=2) == count_pretokens(*args)
+    print("counted")
 """
+
+
+def _run_counting_script(tmp_path, method, docs, **kwargs):
+    script = tmp_path / "count.py"
+    script.write_text(COUNTING_SCRIPT, encoding="utf-8")
+    src = str(Path(artok.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.Popen([sys.executable, str(script), method, str(docs)], env=env,
+                            start_new_session=True, **kwargs)
 
 
 def _children(parent):
@@ -287,14 +303,27 @@ def _children(parent):
     return found
 
 
+START_METHODS = multiprocessing.get_all_start_methods()
+
+
+@pytest.mark.parametrize("method", START_METHODS)
+def test_count_pretokens_workers_count_under_every_start_method(tmp_path, method):
+    proc = _run_counting_script(tmp_path, method, 4, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True)
+    try:
+        out, err = proc.communicate(timeout=120)
+    finally:
+        if _live_processes_in_group(proc.pid):
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert proc.returncode == 0, err
+    assert out.split() == ["counted"]
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="lists processes from /proc")
-def test_count_pretokens_workers_exit_when_the_caller_is_killed(tmp_path):
-    script = tmp_path / "count.py"
-    script.write_text(COUNTING_SCRIPT, encoding="utf-8")
-    src = str(Path(artok.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.Popen([sys.executable, str(script)], stdout=subprocess.DEVNULL,
-                            stderr=subprocess.DEVNULL, env=env, start_new_session=True)
+@pytest.mark.parametrize("method", START_METHODS)
+def test_count_pretokens_workers_exit_when_the_caller_is_killed(tmp_path, method):
+    proc = _run_counting_script(tmp_path, method, 100, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)
     try:
         deadline = time.monotonic() + 60
         while len(_children(proc.pid)) < 2 and proc.poll() is None \
