@@ -33,6 +33,7 @@ from .subword import (
     UNK_ID,
     ALL_KINDS,
     TokenizerModel,
+    _exit_with_parent,
     atomic_write_text,
     count_pretokens,
     decode,
@@ -259,11 +260,13 @@ def _start_training(stack: contextlib.ExitStack, workers: int, jobs: dict) -> di
     """Start `_train_cell` on every kind's arguments; returns kind -> a
     call that gives the job's result. With more than one job and worker
     the jobs run in a process pool that `stack` shuts down, cancelling
-    what has not started; otherwise each runs in-process when called."""
+    what has not started; otherwise each runs in-process when called.
+    Pool workers exit once this process is gone."""
     n = min(workers, len(jobs))
     if n <= 1:
         return {kind: functools.partial(_train_cell, *args) for kind, args in jobs.items()}
-    pool = ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("spawn"))
+    pool = ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("spawn"),
+                               initializer=_exit_with_parent, initargs=(os.getpid(),))
     stack.callback(pool.shutdown, cancel_futures=True)
     # A spawned worker starts by re-running the caller's main script. One
     # that dies there must do so before the jobs' large arguments are

@@ -18,6 +18,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from .corpus import ARABIC_CHAR
@@ -116,49 +117,57 @@ def _proclitic_parts(form: str) -> tuple[str, ...]:
     return (form,)
 
 
+@lru_cache(maxsize=32)
+def _clitic_index(proclitics: tuple, enclitics: tuple) -> tuple[dict, dict]:
+    """A clitic table's forms bucketed by the character a match must
+    start (proclitics) or end (enclitics) with, in table order within a
+    bucket: first char -> [(form, may_stack, marked parts)] and last
+    char -> [(form, marked form)]."""
+    pro: dict[str, list] = {}
+    for form, may_stack in proclitics:
+        parts = tuple(f"{p}+" for p in _proclitic_parts(form))
+        pro.setdefault(form[0], []).append((form, may_stack, parts))
+    enc: dict[str, list] = {}
+    for form in enclitics:
+        enc.setdefault(form[-1], []).append((form, f"+{form}"))
+    return pro, enc
+
+
 def segment_word(word: str, table: CliticTable | None = None) -> Segmentation:
     """Split one whitespace-free word into marked clitics and a stem.
 
     Greedy longest-match against the table, at most three proclitic
     segments and one enclitic, never leaving a stem shorter than
     MIN_STEM_LEN. Words matching no rule come back as a single segment.
+    Only the forms that share the word's first (or last) character are
+    tried, through an index of the table's current forms.
     """
     if word.split() != [word]:
         raise ValueError("word must be non-empty and whitespace-free")
     table = table or CliticTable()
+    pro, enc = _clitic_index(tuple(table.proclitics), tuple(table.enclitics))
 
     prefix: list[str] = []
     rest = word
-    used: set[str] = set()
+    used: list[str] = []
     while len(prefix) < MAX_PROCLITIC_SEGMENTS:
-        matched = None
-        for form, may_stack in table.proclitics:
-            if form in used or not rest.startswith(form):
-                continue
-            if len(rest) - len(form) < MIN_STEM_LEN:
-                continue
-            parts = _proclitic_parts(form)
-            if len(prefix) + len(parts) > MAX_PROCLITIC_SEGMENTS:
-                continue
-            matched = (form, may_stack, parts)
+        for form, may_stack, parts in pro.get(rest[:1], ()):
+            if (rest.startswith(form) and len(rest) - len(form) >= MIN_STEM_LEN
+                    and len(prefix) + len(parts) <= MAX_PROCLITIC_SEGMENTS
+                    and form not in used):
+                break
+        else:
             break
-        if matched is None:
-            break
-        form, may_stack, parts = matched
-        used.add(form)
-        prefix.extend(f"{p}+" for p in parts)
+        used.append(form)
+        prefix += parts
         rest = rest[len(form):]
         if not may_stack:
             break
 
-    suffix: list[str] = []
-    for form in table.enclitics:
+    for form, marked in enc.get(rest[-1:], ()):
         if rest.endswith(form) and len(rest) - len(form) >= MIN_STEM_LEN:
-            suffix.append(f"+{form}")
-            rest = rest[: -len(form)]
-            break
-
-    return Segmentation(word=word, segments=prefix + [rest] + suffix)
+            return Segmentation(word=word, segments=prefix + [rest[: -len(form)], marked])
+    return Segmentation(word=word, segments=prefix + [rest])
 
 
 def _segmentable(word: str) -> bool:

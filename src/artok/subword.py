@@ -23,6 +23,8 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from itertools import chain, count, repeat
+from operator import add, itemgetter, mul
 from pathlib import Path
 from typing import Callable, ClassVar, Iterable
 
@@ -90,10 +92,35 @@ class TokenizerModel:
         return {tok: i for i, tok in enumerate(self.vocab)}
 
     @cached_property
+    def merge_ids(self) -> tuple[list[int], list[int], list[int], dict]:
+        """The merges on ids: (left, right, output) lists in rank order,
+        and the symbol -> id table they index. Built at C level, once per
+        model: load_model's validation builds it and the bpe encoders
+        reuse it. A side or output absent from the vocab, which only an
+        unvalidated in-memory model has, gets an interned id >= len(vocab)
+        in a copy of token_ids."""
+        token_ids = self.token_ids
+        lefts = list(map(_FIRST, self.merges))
+        rights = list(map(_SECOND, self.merges))
+        sides = (lefts, rights, list(map(add, lefts, map(_AFTER_PREFIX, rights))))
+        try:
+            return (*[list(map(token_ids.__getitem__, side)) for side in sides], token_ids)
+        except KeyError:
+            pass
+        symbol_ids = dict(token_ids)
+        fresh = count(len(self.vocab))
+        for sym in chain(*sides):
+            if sym not in symbol_ids:
+                symbol_ids[sym] = next(fresh)
+        return (*[list(map(symbol_ids.__getitem__, side)) for side in sides], symbol_ids)
+
+    @cached_property
     def encode_word(self) -> Callable[[str], tuple[int, ...]]:
         """The model's one word encoder, shared by `encode` and
         evaluation; see `_word_encoder`."""
-        return _word_encoder(self.kind, self.token_ids, self.merges, self.clitic_table)
+        bpe = self.kind in (KIND_BPE, KIND_BPE_MORPH)
+        return _word_encoder(self.kind, self.token_ids, self.merge_ids if bpe else None,
+                             len(self.vocab), self.clitic_table)
 
     @cached_property
     def decode_table(self) -> tuple[list[str], list[int | None]]:
@@ -118,6 +145,11 @@ class TokenizerModel:
                 pieces.append(" " + tok)
                 lead_cut.append(1)
         return pieces, lead_cut
+
+
+_FIRST = itemgetter(0)
+_SECOND = itemgetter(1)
+_AFTER_PREFIX = itemgetter(slice(len(CONT_PREFIX), None))
 
 
 def word_symbols(word: str) -> list[str]:
@@ -210,34 +242,6 @@ def count_pretokens(
 # Encoding / decoding
 
 
-def _bpe_symbols(word: str, ranks: dict) -> list[str]:
-    syms = word_symbols(word)
-    while len(syms) > 1:
-        best_rank = None
-        best_pair = None
-        for i in range(len(syms) - 1):
-            rank = ranks.get((syms[i], syms[i + 1]))
-            if rank is not None and (best_rank is None or rank < best_rank):
-                best_rank = rank
-                best_pair = (syms[i], syms[i + 1])
-        if best_pair is None:
-            break
-        a, b = best_pair
-        merged = merge_output(a, b)
-        out: list[str] = []
-        i = 0
-        n = len(syms)
-        while i < n:
-            if i < n - 1 and syms[i] == a and syms[i + 1] == b:
-                out.append(merged)
-                i += 2
-            else:
-                out.append(syms[i])
-                i += 1
-        syms = out
-    return syms
-
-
 def _wordpiece_pieces(word: str, vocab: dict) -> list[str]:
     if len(word) > WORDPIECE_MAX_WORD_CHARS:
         return [UNK_TOKEN]
@@ -267,7 +271,7 @@ def _wordpiece_pieces(word: str, vocab: dict) -> list[str]:
 CACHE_SIZE = 20000
 
 
-def _word_encoder(kind: str, token_ids: dict, merges: list,
+def _word_encoder(kind: str, token_ids: dict, merge_ids: tuple | None, vocab_size: int,
                   clitic_table: CliticTable | None) -> Callable[[str], tuple[int, ...]]:
     """A model's word encoder: a normalized whitespace word to its ids (for
     bpe_morph, the ids of its clitic segments in order).
@@ -278,7 +282,13 @@ def _word_encoder(kind: str, token_ids: dict, merges: list,
     keyed by segment (its `segment_ids` attribute), so a stem seen under
     other clitics is not replayed again. wordlevel is one lookup and
     caches nothing. The encoders close over the lookup tables, not the
-    model, so a dropped model is freed at once."""
+    model, so a dropped model is freed at once.
+
+    bpe replays the merges on ids (`TokenizerModel.merge_ids`). A
+    position list holds the rank of each adjacent pair; each round takes
+    the lowest rank, merges every non-overlapping occurrence of its pair
+    from left to right and re-ranks only the pairs beside each merge.
+    Ids outside the vocab come out as UNK_ID."""
     if kind == KIND_WORDLEVEL:
         def wordlevel_ids(word: str) -> tuple[int, ...]:
             return (token_ids.get(word, UNK_ID),)
@@ -288,11 +298,48 @@ def _word_encoder(kind: str, token_ids: dict, merges: list,
         def wordpiece_ids(word: str) -> tuple[int, ...]:
             return tuple([token_ids.get(t, UNK_ID) for t in _wordpiece_pieces(word, token_ids)])
         return wordpiece_ids
-    ranks = {tuple(m): r for r, m in enumerate(merges)}
+    lefts, rights, outputs, symbol_ids = merge_ids
+    # A symbol absent from symbol_ids gets `unknown`, above every id in
+    # it. A pair's key is left * width + right, so no merge has a key with
+    # `unknown` on either side.
+    unknown = vocab_size + len(symbol_ids)
+    width = unknown + 1
+    # A later duplicate of a pair takes its rank; its output is the same.
+    rank_of = dict(zip(map(add, map(mul, lefts, repeat(width)), rights),
+                       range(len(lefts)))).get
+    no_merge = len(lefts)
+    first_id = symbol_ids.get
+    # A character's continuation id, without building its "##" string.
+    cont_id = {sym[len(CONT_PREFIX):]: i for sym, i in symbol_ids.items()
+               if isinstance(sym, str) and len(sym) == len(CONT_PREFIX) + 1
+               and sym.startswith(CONT_PREFIX)}.get
 
     @lru_cache(CACHE_SIZE)
     def bpe_ids(word: str) -> tuple[int, ...]:
-        return tuple([token_ids.get(t, UNK_ID) for t in _bpe_symbols(word, ranks)])
+        ids = [first_id(word[0], unknown), *map(cont_id, word[1:], repeat(unknown))]
+        ranks = list(map(rank_of, map(add, map(mul, ids, repeat(width)), ids[1:]),
+                         repeat(no_merge)))
+        best = min(ranks, default=no_merge)
+        while best < no_merge:
+            merged = outputs[best]
+            merged_key = merged * width
+            i = ranks.index(best)
+            while True:
+                ids[i] = merged
+                del ids[i + 1], ranks[i]
+                if i:
+                    ranks[i - 1] = rank_of(ids[i - 1] * width + merged, no_merge)
+                if i < len(ranks):
+                    ranks[i] = rank_of(merged_key + ids[i + 1], no_merge)
+                # A re-ranked neighbour never takes `best`: that would need
+                # a bare "##" symbol past a word's first position.
+                if best not in ranks:
+                    break
+                i = ranks.index(best, i + 1)
+            best = min(ranks, default=no_merge)
+        if max(ids) >= vocab_size:
+            return tuple([i if i < vocab_size else UNK_ID for i in ids])
+        return tuple(ids)
     if kind == KIND_BPE:
         return bpe_ids
 
@@ -406,7 +453,8 @@ def save_model(model: TokenizerModel, path: str | Path) -> None:
 
 def validate_model(model: TokenizerModel) -> None:
     """Check a model's vocabulary and merges against each other, through
-    the token -> id table that its first encode then reuses."""
+    the token -> id and merge-id tables that its first encode then
+    reuses."""
     if not all(isinstance(tok, str) for tok in model.vocab):
         raise ModelFormatError("malformed vocabulary, every token must be a string")
     if list(model.vocab[:len(SPECIALS)]) != list(SPECIALS):
@@ -416,6 +464,9 @@ def validate_model(model: TokenizerModel) -> None:
         raise ModelFormatError("vocabulary contains duplicate tokens")
     if model.kind == KIND_WORDLEVEL and model.merges:
         raise ModelFormatError("wordlevel model must not carry merges")
+    if not model.merges or _merges_sound(model):
+        return
+    # Name the first bad merge.
     for left, right in model.merges:
         if not (isinstance(left, str) and isinstance(right, str)):
             raise ModelFormatError(f"malformed merge, sides must be strings: {(left, right)}")
@@ -426,6 +477,20 @@ def validate_model(model: TokenizerModel) -> None:
                                    f"{(left, right)}")
         if merge_output(left, right) not in token_ids:
             raise ModelFormatError(f"merge output missing from vocab: {(left, right)}")
+
+
+def _merges_sound(model: TokenizerModel) -> bool:
+    """The checks of validate_model's merge loop on every merge at once,
+    through the model's merge_ids: every side and output is in the vocab
+    (every id is below len(vocab), which holds exactly when merge_ids
+    interned nothing, so its table is token_ids itself) and every right
+    side is a continuation."""
+    try:
+        symbol_ids = model.merge_ids[3]
+    except (TypeError, IndexError):  # a side that is no string, or a merge that is no pair
+        return False
+    return (symbol_ids is model.token_ids
+            and all(map(str.startswith, map(_SECOND, model.merges), repeat(CONT_PREFIX))))
 
 
 def _merge_pairs(pairs: list) -> list[tuple[str, str]]:

@@ -8,17 +8,22 @@ reference for the table decode in artok.subword; oracle_desegment is the
 token loop that resolves its clitic markers, the reference for
 artok.morphseg.desegment_text; oracle_normalize runs every pass of the
 cleaning pipeline on every text, the reference for artok.normalize's
-gated passes.
+gated passes; oracle_bpe_symbols replays merges on symbol strings with a
+full rescan per round, the reference for the id replay of the bpe
+encoders; oracle_segment_word scans the whole clitic table at every
+step, the reference for artok.morphseg.segment_word's indexed table.
 """
 
 import re
 from collections import Counter
 from fractions import Fraction
 
+from artok.morphseg import MAX_PROCLITIC_SEGMENTS, MIN_STEM_LEN, Segmentation, _proclitic_parts
 from artok.subword import (
     CONT_PREFIX,
     KIND_BPE_MORPH,
     SPECIALS,
+    UNK_ID,
     UNK_TOKEN,
     merge_output,
     word_symbols,
@@ -196,3 +201,64 @@ def oracle_normalize(text, cfg):
         pattern = re.compile(r"(\D)\1{%d,}" % cap)
         text = pattern.sub(lambda m: m.group(1) * cap, text)
     return " ".join(text.split())
+
+
+def oracle_bpe_symbols(word, merges):
+    """Replay merges on a word's symbol strings: each round rescans every
+    adjacent pair for the lowest rank (a later duplicate of a pair takes
+    its rank) and merges each non-overlapping occurrence left to right."""
+    ranks = {tuple(m): r for r, m in enumerate(merges)}
+    syms = word_symbols(word)
+    while len(syms) > 1:
+        best_rank = None
+        best_pair = None
+        for i in range(len(syms) - 1):
+            rank = ranks.get((syms[i], syms[i + 1]))
+            if rank is not None and (best_rank is None or rank < best_rank):
+                best_rank = rank
+                best_pair = (syms[i], syms[i + 1])
+        if best_pair is None:
+            break
+        syms = _apply(syms, best_pair, merge_output(*best_pair))
+    return syms
+
+
+def oracle_bpe_ids(model, word):
+    """A bpe model's ids for one pre-token (a clitic segment, for
+    bpe_morph), from oracle_bpe_symbols."""
+    return tuple(model.token_ids.get(t, UNK_ID) for t in oracle_bpe_symbols(word, model.merges))
+
+
+def oracle_segment_word(word, table):
+    """Greedy clitic stripping that tries every table entry in table order
+    at each step."""
+    prefix = []
+    rest = word
+    used = set()
+    while len(prefix) < MAX_PROCLITIC_SEGMENTS:
+        matched = None
+        for form, may_stack in table.proclitics:
+            if form in used or not rest.startswith(form):
+                continue
+            if len(rest) - len(form) < MIN_STEM_LEN:
+                continue
+            parts = _proclitic_parts(form)
+            if len(prefix) + len(parts) > MAX_PROCLITIC_SEGMENTS:
+                continue
+            matched = (form, may_stack, parts)
+            break
+        if matched is None:
+            break
+        form, may_stack, parts = matched
+        used.add(form)
+        prefix.extend(f"{p}+" for p in parts)
+        rest = rest[len(form):]
+        if not may_stack:
+            break
+    suffix = []
+    for form in table.enclitics:
+        if rest.endswith(form) and len(rest) - len(form) >= MIN_STEM_LEN:
+            suffix.append(f"+{form}")
+            rest = rest[: -len(form)]
+            break
+    return Segmentation(word=word, segments=prefix + [rest] + suffix)

@@ -343,6 +343,61 @@ def test_count_pretokens_workers_exit_when_the_caller_is_killed(tmp_path, method
     assert left == []
 
 
+# A grid whose two kinds train for a while in spawned workers.
+GRID_SCRIPT = """
+import random
+from artok.corpus import Document
+from artok.eval import compare_grid
+
+if __name__ == "__main__":
+    rng = random.Random(0)
+    letters = "ابتثجحخدذرزسشصضطظعغفقكلمنهوي"
+    docs = [Document(id=str(i), text=" ".join(
+        "".join(rng.choice(letters) for _ in range(rng.randint(3, 8))) for _ in range(2000)))
+        for i in range(20)]
+    compare_grid(docs, kinds=("bpe", "wordpiece"), sizes=(3000,), workers=2)
+"""
+
+
+def _spawn_workers(parent):
+    found = []
+    for pid in _children(parent):
+        try:
+            with open(f"/proc/{pid}/cmdline", "rb") as f:
+                if b"spawn_main" in f.read():
+                    found.append(pid)
+        except OSError:
+            continue
+    return found
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="lists processes from /proc")
+def test_compare_grid_workers_exit_when_the_caller_is_killed(tmp_path):
+    script = tmp_path / "grid.py"
+    script.write_text(GRID_SCRIPT, encoding="utf-8")
+    src = str(Path(artok.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, str(script)], env=env, start_new_session=True,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while len(_spawn_workers(proc.pid)) < 2 and proc.poll() is None \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        workers = _spawn_workers(proc.pid)
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait()
+        deadline = time.monotonic() + 10
+        while _live_processes_in_group(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        left = _live_processes_in_group(proc.pid)
+    finally:
+        if _live_processes_in_group(proc.pid):
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert len(workers) == 2, "the grid never started its two training workers"
+    assert left == []
+
+
 def test_compare_grid_validates_arguments(small_corpus):
     with pytest.raises(ValueError):
         compare_grid(small_corpus, sizes=())

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from artok.corpus import ARABIC_CHAR, is_arabic_char
 from artok.morphseg import (
@@ -16,7 +16,7 @@ from artok.morphseg import (
 )
 from artok.normalize import normalize
 
-from oracles import oracle_desegment
+from oracles import oracle_desegment, oracle_segment_word
 
 
 def test_segments_verb_with_object_pronoun():
@@ -184,3 +184,31 @@ def test_script_and_whitespace_checks_agree_with_per_character_checks():
         with pytest.raises(ValueError):
             segment_word(word)
     assert _segmentable("a\u0750") and not _segmentable("a\u0780") and not _segmentable("و+")
+
+
+FORMS = st.text(alphabet="اولبكه", min_size=1, max_size=3)
+CLITIC_TABLES = st.builds(
+    CliticTable,
+    proclitics=st.lists(st.tuples(FORMS, st.booleans()), max_size=8).map(tuple),
+    enclitics=st.lists(FORMS, max_size=8).map(tuple),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(table=st.one_of(st.just(CliticTable()), CLITIC_TABLES),
+       word=st.text(alphabet="اولبكهتx", min_size=1, max_size=12))
+@example(table=CliticTable(proclitics=(("و", True), ("وا", True)), enclitics=("ا", "ها")),
+         word="واكتبها")
+def test_segment_word_matches_the_full_table_scan(table, word):
+    # Forms in these tables repeat, share first and last characters, and
+    # mix stacking with non-stacking entries.
+    assert segment_word(word, table) == oracle_segment_word(word, table)
+
+
+def test_segment_word_follows_a_reassigned_table():
+    table = CliticTable(proclitics=(("و", True),), enclitics=("ها",))
+    assert segment_word("وكتابها", table).segments == ["و+", "كتاب", "+ها"]
+    table.proclitics = (("ك", True),)
+    table.enclitics = ()
+    assert segment_word("وكتابها", table).segments == ["وكتابها"]
+    assert segment_word("ككتاب", table).segments == ["ك+", "كتاب"]

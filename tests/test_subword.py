@@ -4,6 +4,7 @@ import json
 import random
 import weakref
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from artok import subword
 from artok.corpus import Document
 from artok.eval import evaluate_model, train_model
-from artok.morphseg import CliticTable
+from artok.morphseg import CliticTable, _segmentable, segment_word
 from artok.normalize import NormalizerConfig, normalize
 from artok.subword import (
     ALL_KINDS,
@@ -27,12 +28,19 @@ from artok.subword import (
     export_vocab_txt,
     load_model,
     save_model,
+    merge_output,
     truncate_model,
     word_symbols,
 )
 from artok.trainers import _check_pretokens, train_from_pretokens
 
-from oracles import oracle_bpe, oracle_decode, oracle_wordpiece
+from oracles import (
+    oracle_bpe,
+    oracle_bpe_ids,
+    oracle_decode,
+    oracle_segment_word,
+    oracle_wordpiece,
+)
 
 
 def docs(*texts):
@@ -393,6 +401,89 @@ def test_word_caches_stay_bounded_and_exact(tmp_path):
         assert [encode(fresh, text).ids for text in reversed(texts)] == served[::-1], kind
 
 
+# ---------------------------------------------------------------------------
+# Merge replay on ids against the string oracle
+
+
+def _oracle_word_ids(model, word):
+    if model.kind == "bpe":
+        return oracle_bpe_ids(model, word)
+    segments = (oracle_segment_word(word, model.clitic_table).segments
+                if _segmentable(word) else [word])
+    return sum((oracle_bpe_ids(model, seg) for seg in segments), ())
+
+
+@pytest.fixture(scope="module")
+def replay_models():
+    rng = random.Random(5)
+    words = ["".join(rng.choice("ابتكلمو") for _ in range(rng.randint(1, 9)))
+             for _ in range(300)]
+    words += ["ببببب", "بببببببب", "والكتاب", "وكتبها", "##ب"] * 5
+    corpus = docs(*(" ".join(words[i:i + 30]) for i in range(0, len(words), 30)))
+    return {kind: train_model(corpus, kind, 120) for kind in ("bpe", "bpe_morph")}
+
+
+# "a", "b" and "#" are absent from the replay models' vocab; runs of one
+# letter exercise the self-pairs.
+REPLAY_WORDS = st.one_of(
+    st.text(alphabet="ابتكلمو#ab", min_size=1, max_size=100),
+    st.builds(str.__mul__, st.sampled_from("بت#"), st.integers(1, 100)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["bpe", "bpe_morph"]), word=REPLAY_WORDS)
+@example(kind="bpe", word="ببببب")
+@example(kind="bpe_morph", word="والكتابها")
+def test_trained_encoders_match_the_string_replay(replay_models, kind, word):
+    model = replay_models[kind]
+    assert model.encode_word(word) == _oracle_word_ids(model, word)
+
+
+SIDES = st.text(alphabet="اب#", min_size=1, max_size=3)
+SYMBOLS = st.one_of(SIDES, SIDES.map("##".__add__))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["bpe", "bpe_morph"]),
+    vocab=st.lists(SYMBOLS, max_size=10),
+    merges=st.lists(st.tuples(SYMBOLS, SYMBOLS), max_size=10),
+    repeats=st.integers(0, 3),
+    words=st.lists(st.text(alphabet="اب#x", min_size=1, max_size=12), min_size=1, max_size=5),
+)
+@example(kind="bpe", vocab=["ب", "##ب", "ب##ب"], merges=[("ب", "##ب"), ("##ب", "##ب"),
+         ("##ب##", "##ب"), ("ب", "##ب")], repeats=0, words=["ببببب"])
+# Both (##ب, ##ا) merge in one round, before the lower-ranked pair that the
+# first of them forms with the second could.
+@example(kind="bpe", vocab=["ا", "##ا", "##ب", "##با", "##باب"],
+         merges=[("##با", "##ب"), ("##ب", "##ا")], repeats=0, words=["ابابا"])
+def test_unvalidated_encoders_match_the_string_replay(kind, vocab, merges, repeats, words):
+    # Duplicate merges, merge sides and outputs outside the vocab, right
+    # sides without the prefix and duplicate vocab entries all encode as
+    # the string replay does.
+    merges = merges + merges[:repeats]
+    model = TokenizerModel(kind=kind, vocab=list(SPECIALS) + vocab, merges=merges,
+                           normalizer=NormalizerConfig(), clitic_table=CliticTable())
+    for word in words:
+        assert model.encode_word(word) == _oracle_word_ids(model, word), word
+
+
+def test_segment_call_site_sees_each_missed_morph_word(monkeypatch, replay_models):
+    # Layer metrics count segment_word calls at this module global.
+    model = replace(replay_models["bpe_morph"])
+    calls = []
+
+    def counted(word, table):
+        calls.append(word)
+        return segment_word(word, table)
+    monkeypatch.setattr(subword, "segment_word", counted)
+    text = "والكتاب وكتبها 12 والكتاب ab كتب وكتبها"
+    encode(model, text)
+    encode(model, text)
+    assert calls == ["والكتاب", "وكتبها", "كتب"]
+
+
 def test_encode_empty_text():
     model = train_from_pretokens(Counter({"a": 1}), "wordlevel", 6)
     enc = encode(model, "")
@@ -504,6 +595,60 @@ def test_load_rejects_malformed_merges(tmp_path, trained_models, merges):
     path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
     with pytest.raises(ModelFormatError, match="malformed"):
         load_model(path)
+
+
+def _load_with_merges(tmp_path, model, merges):
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    del data["checksum"]
+    data["merges"] = merges
+    path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    return load_model(path)
+
+
+@pytest.mark.parametrize("later_bad_merge", [False, True])
+@pytest.mark.parametrize("flaw", ["left missing", "right missing", "right not continued",
+                                  "output missing", "non-string side"])
+def test_load_names_the_first_bad_merge(tmp_path, trained_models, flaw, later_bad_merge):
+    model = trained_models[0]
+    ids = model.token_ids
+    left = next(t for t in model.vocab[len(SPECIALS):] if not t.startswith("##"))
+    right = next(t for t in model.vocab if t.startswith("##")
+                 and merge_output(left, t) not in ids)
+    bad, message = {
+        "left missing": (("q", right), "merge input missing from vocab"),
+        "right missing": ((left, "##q"), "merge input missing from vocab"),
+        "right not continued": ((left, left), "malformed merge, right side is no continuation"),
+        "output missing": ((left, right), "merge output missing from vocab"),
+        "non-string side": ((5, right), "malformed merge, sides must be strings"),
+    }[flaw]
+    merges = list(model.merges)
+    merges.insert(len(merges) // 2, bad)
+    if later_bad_merge:
+        merges.append(("q", "##q"))  # the message must not name it
+    with pytest.raises(ModelFormatError) as err:
+        _load_with_merges(tmp_path, model, [list(m) for m in merges])
+    assert str(err.value) == f"{message}: {bad}"
+
+
+def test_load_rejects_wordlevel_merges(tmp_path, trained_models):
+    model = trained_models[2]
+    with pytest.raises(ModelFormatError, match="^wordlevel model must not carry merges$"):
+        _load_with_merges(tmp_path, model, [[model.vocab[5], "##" + model.vocab[6]]])
+
+
+def test_load_builds_merge_ids_from_token_ids(tmp_path, trained_models):
+    for model in trained_models:
+        loaded = _load_with_merges(tmp_path, model, [list(m) for m in model.merges])
+        # load builds the table that the first encode then reuses
+        assert ("merge_ids" in vars(loaded)) == bool(model.merges)
+        left, right, output, symbol_ids = loaded.merge_ids
+        ids = loaded.token_ids
+        assert symbol_ids is ids
+        assert left == [ids[a] for a, _ in model.merges]
+        assert right == [ids[b] for _, b in model.merges]
+        assert output == [ids[merge_output(a, b)] for a, b in model.merges]
 
 
 def test_load_rejects_non_string_vocab_entry(tmp_path, trained_models):
