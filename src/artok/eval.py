@@ -13,12 +13,8 @@ import functools
 import hashlib
 import json
 import logging
-import multiprocessing
-import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -33,7 +29,6 @@ from .subword import (
     UNK_ID,
     ALL_KINDS,
     TokenizerModel,
-    _exit_with_parent,
     atomic_write_text,
     count_pretokens,
     decode,
@@ -41,6 +36,7 @@ from .subword import (
     load_model,
     save_model,
     truncate_model,
+    worker_pool,
 )
 from .trainers import train_from_pretokens
 
@@ -137,11 +133,12 @@ def train_model(
     workers: int = 1,
 ) -> TokenizerModel:
     """Train one tokenizer of any kind from filtered documents: pre-token
-    counts from count_pretokens (`workers` processes), then
-    train_from_pretokens."""
+    counts from count_pretokens (on a worker_pool of `workers` processes
+    when workers > 1), then train_from_pretokens."""
     normalizer = normalizer or NormalizerConfig()
     table = _table(kind, clitic_table or CliticTable())
-    pretokens = count_pretokens(docs, _family(kind), normalizer, table, workers=workers)
+    with (worker_pool(workers) if workers > 1 else contextlib.nullcontext()) as pool:
+        pretokens = count_pretokens(docs, _family(kind), normalizer, table, pool=pool)
     return train_from_pretokens(pretokens, kind, vocab_size, normalizer, table)
 
 
@@ -159,10 +156,11 @@ def compare_grid(
 
     Merge selection never depends on the target vocabulary size, so each
     kind trains once at max(sizes) and the smaller cells are exact
-    prefix truncations of that model. This process counts pre-tokens
-    once per family, then the kinds train side by side in `workers`
-    processes (here when workers <= 1) while this process truncates,
-    saves and evaluates each model in `kinds` order. With models_dir set,
+    prefix truncations of that model. With workers > 1 and a kind to
+    train, one worker_pool of `workers` processes serves the whole call:
+    it counts pre-tokens once per family, then trains the kinds side by
+    side while this process truncates, saves and evaluates each model in
+    `kinds` order. With workers <= 1 all of it runs here. With models_dir set,
     each bundle is written there beside a `.key` file fingerprinting the
     training inputs, and a kind whose largest bundle carries the current
     key is re-loaded instead of retrained.
@@ -172,11 +170,6 @@ def compare_grid(
     for kind in kinds:
         if kind not in ALL_KINDS:
             raise ValueError(f"unknown tokenizer kind: {kind!r}")
-    # A grid worker re-running an unguarded main script while it starts
-    # (multiprocessing's own flag for that phase) stops here, before it
-    # forks counting workers that would outlive it when the pool ends it.
-    if workers > 1 and getattr(multiprocessing.current_process(), "_inheriting", False):
-        raise RuntimeError(f"compare_grid called while a worker process starts: {_MAIN_GUARD}")
     normalizer = normalizer or NormalizerConfig()
     clitic_table = clitic_table or CliticTable()
     docs = list(corpus)
@@ -191,24 +184,26 @@ def compare_grid(
         key = _inputs_key(train_docs, normalizer, clitic_table)
     untrained = [kind for kind in kinds
                  if key is None or not _is_cached(models_dir, kind, v_max, key)]
-    pretokens: dict = {}
-    for kind in untrained:
-        family = _family(kind)
-        if family not in pretokens:
-            pretokens[family] = count_pretokens(
-                train_docs, family, normalizer, _table(kind, clitic_table), workers=workers,
-            )
-
-    if untrained:
-        log.info("training %s @ %d", ", ".join(untrained), v_max)
     rows: list[MetricsRow] = []
     spread: dict[str, float] = {}
-    with contextlib.ExitStack() as stack:
-        jobs = _start_training(stack, workers, {
-            kind: (pretokens[_family(kind)], kind, v_max, normalizer,
-                   _table(kind, clitic_table))
-            for kind in untrained
-        })
+    with (worker_pool(workers) if untrained and workers > 1
+          else contextlib.nullcontext()) as pool:
+        pretokens: dict = {}
+        for kind in untrained:
+            family = _family(kind)
+            if family not in pretokens:
+                pretokens[family] = count_pretokens(
+                    train_docs, family, normalizer, _table(kind, clitic_table), pool=pool,
+                )
+        if untrained:
+            log.info("training %s @ %d", ", ".join(untrained), v_max)
+        # kind -> a call that gives its `_train_cell` result: the job runs
+        # on the pool, or without one in-process when called
+        jobs = {}
+        for kind in untrained:
+            args = (pretokens[_family(kind)], kind, v_max, normalizer, _table(kind, clitic_table))
+            jobs[kind] = (functools.partial(_train_cell, *args) if pool is None
+                          else pool.submit(_train_cell, *args).result)
         for kind in kinds:
             try:
                 if kind in jobs:
@@ -244,40 +239,12 @@ def _table(kind: str, clitic_table: CliticTable) -> CliticTable | None:
     return clitic_table if kind == KIND_BPE_MORPH else None
 
 
-_MAIN_GUARD = ("a script that calls compare_grid with workers > 1 must make that "
-               "call under an `if __name__ == \"__main__\":` guard")
-
-
 def _train_cell(pretokens, kind, vocab_size, normalizer, clitic_table):
     """One grid training job, picklable for a worker process: the model
     and its training seconds."""
     start = time.perf_counter()
     model = train_from_pretokens(pretokens, kind, vocab_size, normalizer, clitic_table)
     return model, time.perf_counter() - start
-
-
-def _start_training(stack: contextlib.ExitStack, workers: int, jobs: dict) -> dict:
-    """Start `_train_cell` on every kind's arguments; returns kind -> a
-    call that gives the job's result. With more than one job and worker
-    the jobs run in a process pool that `stack` shuts down, cancelling
-    what has not started; otherwise each runs in-process when called.
-    Pool workers exit once this process is gone."""
-    n = min(workers, len(jobs))
-    if n <= 1:
-        return {kind: functools.partial(_train_cell, *args) for kind, args in jobs.items()}
-    pool = ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("spawn"),
-                               initializer=_exit_with_parent, initargs=(os.getpid(),))
-    stack.callback(pool.shutdown, cancel_futures=True)
-    # A spawned worker starts by re-running the caller's main script. One
-    # that dies there must do so before the jobs' large arguments are
-    # queued: a pipe nobody reads would hold the pool's shutdown forever.
-    # One tiny call per worker starts them all at once.
-    try:
-        for started in [pool.submit(os.getpid) for _ in range(n)]:
-            started.result()
-    except BrokenProcessPool as exc:
-        raise RuntimeError(f"grid worker processes exited while starting: {_MAIN_GUARD}") from exc
-    return {kind: pool.submit(_train_cell, *args).result for kind, args in jobs.items()}
 
 
 def _inputs_key(train_docs: Sequence[Document], normalizer: NormalizerConfig,

@@ -10,6 +10,7 @@ preprocessing.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -21,12 +22,13 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import chain, count, repeat
 from operator import add, itemgetter, mul
 from pathlib import Path
-from typing import Callable, ClassVar, Iterable
+from typing import Callable, ClassVar, Iterable, Iterator
 
 from .corpus import Document
 from .morphseg import CliticTable, desegment_text, segment_word, _segmentable
@@ -202,39 +204,59 @@ def _exit_with_parent(caller: int) -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
+@contextlib.contextmanager
+def worker_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
+    """A pool of `workers` spawned processes for count_pretokens shards and
+    training jobs; leaving the block shuts it down and cancels the calls
+    that have not started. Each worker ends itself once this process is
+    gone. A spawned worker starts by re-running the caller's main script,
+    and if one dies there (the script lacks a `__main__` guard) this
+    raises RuntimeError naming the guard."""
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
+                               initializer=_exit_with_parent, initargs=(os.getpid(),))
+    try:
+        # One tiny call per worker starts them all at once, so that one
+        # dying while it starts does so before large arguments are queued:
+        # a pipe nobody reads would hold the pool's shutdown forever.
+        try:
+            for started in [pool.submit(os.getpid) for _ in range(workers)]:
+                started.result()
+        except BrokenProcessPool as exc:
+            raise RuntimeError(
+                "worker processes exited while starting: a script that calls compare_grid, "
+                "train_model or count_pretokens with worker processes must make that call "
+                'under an `if __name__ == "__main__":` guard') from exc
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def count_pretokens(
     corpus: Iterable[Document],
     kind: str,
     normalizer: NormalizerConfig,
     clitic_table: CliticTable | None = None,
-    workers: int = 1,
+    pool: ProcessPoolExecutor | None = None,
 ) -> Counter:
     """Tally pre-token frequencies over a filtered document stream.
 
     Pre-tokens are the whitespace words of the normalized text, or for
-    bpe_morph their clitic segments. Counts are order-free, so the corpus
-    is split into `workers` shards counted in worker processes and the
-    shard counters are summed.
+    bpe_morph their clitic segments. Counts are order-free, so given a
+    `pool` (see worker_pool) the corpus is split into one shard per pool
+    worker, the shards are counted there, and their counters are summed
+    in shard order. Without one, this process counts.
     """
     if kind == KIND_BPE_MORPH and clitic_table is None:
         raise ValueError("bpe_morph pretokenization requires a clitic table")
     texts = [doc.text for doc in corpus]
     args = (kind, normalizer, clitic_table)
-    workers = min(workers, len(texts))
-    if workers <= 1:
+    shards = min(pool._max_workers, len(texts)) if pool is not None else 1
+    if shards <= 1:
         return _count_shard(texts, *args)
-    # Forked where the platform can fork, whatever the default start
-    # method: a fork server's workers would be its children, and it
-    # outlives a killed caller while they hold its pipes.
-    context = multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn")
     counts: Counter = Counter()
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context,
-                             initializer=_exit_with_parent, initargs=(os.getpid(),)) as pool:
-        futures = [pool.submit(_count_shard, texts[i::workers], *args)
-                   for i in range(workers)]
-        for fut in futures:
-            counts.update(fut.result())
+    futures = [pool.submit(_count_shard, texts[i::shards], *args) for i in range(shards)]
+    for fut in futures:
+        counts.update(fut.result())
     return counts
 
 

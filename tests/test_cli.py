@@ -1,8 +1,13 @@
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import artok
 from artok.cli import main
 from artok.morphseg import CliticTable
 from artok.subword import load_model
@@ -353,3 +358,19 @@ def test_train_determinism_same_inputs(tmp_path, corpus_path, capsys):
     assert (a_dir / "model.json").read_bytes() == (b_dir / "model.json").read_bytes()
     assert (a_dir / "vocab.txt").read_bytes() == (b_dir / "vocab.txt").read_bytes()
     assert (a_dir / "merges.txt").read_bytes() == (b_dir / "merges.txt").read_bytes()
+
+
+def test_python_m_artok_train_in_worker_processes(tmp_path, corpus_path):
+    # artok/__main__.py has no __main__ guard; spawned workers never
+    # re-run a package's __main__ module, so it needs none.
+    src = str(Path(artok.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for threads in ("2", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "artok", "train", "--corpus", str(corpus_path),
+             "--kind", "bpe", "--vocab", "400", "--out", str(tmp_path / threads),
+             "--threads", threads],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    for name in ("model.json", "vocab.txt", "merges.txt"):
+        assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()

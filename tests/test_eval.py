@@ -25,7 +25,7 @@ from artok.eval import (
     train_model,
 )
 from artok.normalize import NormalizerConfig
-from artok.subword import ALL_KINDS, load_model
+from artok.subword import ALL_KINDS, load_model, worker_pool
 from artok.trainers import train_from_pretokens
 
 
@@ -187,6 +187,23 @@ def test_compare_grid_workers_train_the_same_grid(small_corpus, tmp_path, caplog
     assert all("/70 in " in m for m in trained)
 
 
+def test_compare_grid_opens_one_worker_pool_and_none_when_all_cached(
+        small_corpus, tmp_path, monkeypatch):
+    opened = []
+
+    def spy(workers):
+        opened.append(workers)
+        return worker_pool(workers)
+
+    monkeypatch.setattr(artok.eval, "worker_pool", spy)
+    compare_grid(small_corpus, sizes=(40, 70), workers=2, models_dir=tmp_path)
+    assert opened == [2]
+    assert multiprocessing.active_children() == []
+    compare_grid(small_corpus, sizes=(40, 70), workers=2, models_dir=tmp_path)
+    assert opened == [2]
+    assert multiprocessing.active_children() == []
+
+
 def test_compare_grid_worker_failure_names_the_cell_and_ends_the_pool(small_corpus):
     with pytest.raises(RuntimeError, match="kind=bpe") as info:
         compare_grid(small_corpus, sizes=(1,), workers=2)
@@ -194,19 +211,18 @@ def test_compare_grid_worker_failure_names_the_cell_and_ends_the_pool(small_corp
     assert multiprocessing.active_children() == []
 
 
-# Enough text that the training jobs' arguments overfill a pipe, as a
-# real corpus's do; no __main__ guard, so every spawned worker re-runs it.
-UNGUARDED_GRID_SCRIPT = """
+# Enough text that the jobs' arguments overfill a pipe, as a real
+# corpus's do; no __main__ guard, so every spawned worker re-runs it.
+UNGUARDED_SCRIPT = """
 import random
 from artok.corpus import Document
-from artok.eval import compare_grid
+from artok.eval import compare_grid, train_model
 
 rng = random.Random(0)
 letters = "ابتثجحخدذرزسشصضطظعغفقكلمنهوي"
 docs = [Document(id=str(i), text=" ".join(
     "".join(rng.choice(letters) for _ in range(rng.randint(3, 8))) for _ in range(2000)))
     for i in range(20)]
-compare_grid(docs, sizes=(40,), workers=2)
 """
 
 
@@ -224,9 +240,13 @@ def _live_processes_in_group(pgid):
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="lists processes from /proc")
-def test_compare_grid_workers_without_main_guard_fail_fast(tmp_path):
+@pytest.mark.parametrize("call", [
+    "compare_grid(docs, sizes=(40,), workers=2)",
+    'train_model(docs, "bpe", 40, workers=2)',
+], ids=["compare_grid", "train_model"])
+def test_compare_grid_workers_without_main_guard_fail_fast(tmp_path, call):
     script = tmp_path / "unguarded.py"
-    script.write_text(UNGUARDED_GRID_SCRIPT, encoding="utf-8")
+    script.write_text(UNGUARDED_SCRIPT + call + "\n", encoding="utf-8")
     src = str(Path(artok.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     # stderr goes to a file: a process left behind holding a pipe would
@@ -249,7 +269,7 @@ def test_compare_grid_workers_without_main_guard_fail_fast(tmp_path):
     left = _live_processes_in_group(proc.pid)
     if left:
         os.killpg(proc.pid, signal.SIGKILL)
-    assert not hung, "compare_grid hung instead of failing"
+    assert not hung, f"{call} hung instead of failing"
     assert left == []
     assert proc.returncode != 0
     last_line = err_path.read_text(encoding="utf-8").strip().splitlines()[-1]
@@ -266,7 +286,7 @@ import sys
 from artok.corpus import Document
 from artok.morphseg import CliticTable
 from artok.normalize import NormalizerConfig
-from artok.subword import count_pretokens
+from artok.subword import count_pretokens, worker_pool
 
 if __name__ == "__main__":
     multiprocessing.set_start_method(sys.argv[1])
@@ -276,7 +296,8 @@ if __name__ == "__main__":
         "".join(rng.choice(letters) for _ in range(rng.randint(3, 8))) for _ in range(2000)))
         for i in range(int(sys.argv[2]))]
     args = (docs, "bpe_morph", NormalizerConfig(), CliticTable())
-    assert count_pretokens(*args, workers=2) == count_pretokens(*args)
+    with worker_pool(2) as pool:
+        assert count_pretokens(*args, pool=pool) == count_pretokens(*args)
     print("counted")
 """
 
@@ -326,10 +347,10 @@ def test_count_pretokens_workers_exit_when_the_caller_is_killed(tmp_path, method
                                 stderr=subprocess.DEVNULL)
     try:
         deadline = time.monotonic() + 60
-        while len(_children(proc.pid)) < 2 and proc.poll() is None \
+        while len(_spawn_workers(proc.pid)) < 2 and proc.poll() is None \
                 and time.monotonic() < deadline:
             time.sleep(0.01)
-        workers = _children(proc.pid)
+        workers = _spawn_workers(proc.pid)
         os.kill(proc.pid, signal.SIGKILL)
         proc.wait()
         deadline = time.monotonic() + 10

@@ -31,6 +31,7 @@ from artok.subword import (
     merge_output,
     truncate_model,
     word_symbols,
+    worker_pool,
 )
 from artok.trainers import _check_pretokens, train_from_pretokens
 
@@ -68,8 +69,9 @@ def test_count_empty_corpus():
 def test_count_parallel_matches_sequential():
     texts = [f"كتاب جديد رقم {i} يتحدثها" for i in range(50)]
     seq = count_pretokens(docs(*texts), "bpe_morph", NormalizerConfig(), CliticTable())
-    par = count_pretokens(docs(*texts), "bpe_morph", NormalizerConfig(), CliticTable(),
-                          workers=3)
+    with worker_pool(3) as pool:
+        par = count_pretokens(docs(*texts), "bpe_morph", NormalizerConfig(), CliticTable(),
+                              pool=pool)
     assert seq == par
 
 
