@@ -19,7 +19,7 @@ from .eval import (
     train_model,
 )
 from .morphseg import CliticTable, Segmentation, desegment_text, segment_text, segment_word
-from .normalize import NormalizerConfig, Placeholders, normalize
+from .normalize import NormalizerConfig, normalize
 from .subword import (
     ALL_KINDS,
     Encoding,

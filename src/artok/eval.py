@@ -44,6 +44,8 @@ log = logging.getLogger(__name__)
 
 DEFAULT_SIZES = (16000, 28000, 44000)
 
+AUDIT_EXAMPLES = 10
+
 REPORT_CSV_HEADER = "kind,vocab_size,token_to_word,unk_rate,coverage,words_per_sec,corpus_words"
 
 
@@ -72,32 +74,27 @@ class ComparisonReport:
         }
 
 
-def _tally(model: TokenizerModel, docs: Iterable[Document]):
-    """Per-word token/unk totals from the same word encoder `encode` uses;
+def evaluate_model(model: TokenizerModel, corpus: Iterable[Document]) -> MetricsRow:
+    """One grid cell's metrics, from the same word encoder `encode` uses;
     words attribute [UNK]s to themselves so coverage can count word
     occurrences that encode cleanly."""
     encode_word = model.encode_word
-    total_words = 0
-    total_tokens = 0
-    total_unk = 0
+    words = 0
+    tokens = 0
+    unk = 0
     covered = 0
     start = time.perf_counter()
-    for doc in docs:
-        words = normalize(doc.text, model.normalizer).split()
-        total_words += len(words)
-        for word in words:
+    for doc in corpus:
+        doc_words = normalize(doc.text, model.normalizer).split()
+        words += len(doc_words)
+        for word in doc_words:
             ids = encode_word(word)
-            total_tokens += len(ids)
+            tokens += len(ids)
             word_unk = ids.count(UNK_ID)
-            total_unk += word_unk
+            unk += word_unk
             if word_unk == 0:
                 covered += 1
     elapsed = time.perf_counter() - start
-    return total_words, total_tokens, total_unk, covered, elapsed
-
-
-def evaluate_model(model: TokenizerModel, corpus: Iterable[Document]) -> MetricsRow:
-    words, tokens, unk, covered, elapsed = _tally(model, corpus)
     if words == 0:
         raise ValueError("corpus has no words after normalization")
     return MetricsRow(
@@ -111,11 +108,11 @@ def evaluate_model(model: TokenizerModel, corpus: Iterable[Document]) -> Metrics
     )
 
 
-def split_eval_docs(docs: Sequence[Document], eval_fraction: float = 0.1):
+def split_eval_docs(docs: Sequence[Document]):
     """Deterministic held-out split: the last tenth by ingestion order."""
     if len(docs) < 2:
         raise ValueError("need at least 2 documents to hold out an eval split")
-    n_eval = max(1, int(len(docs) * eval_fraction))
+    n_eval = max(1, len(docs) // 10)
     return list(docs[:-n_eval]), list(docs[-n_eval:])
 
 
@@ -294,9 +291,9 @@ def roundtrip_audit(
     corpus: Sequence[Document],
     sample_n: int,
     seed: int = 0,
-    max_examples: int = 10,
 ) -> dict:
-    """Check decode(encode(d)) == normalize(d) on a seeded uniform sample."""
+    """Check decode(encode(d)) == normalize(d) on a seeded uniform sample,
+    keeping the first AUDIT_EXAMPLES mismatches."""
     if sample_n < 1:
         raise ValueError("sample_n must be >= 1")
     docs = list(corpus)
@@ -309,7 +306,7 @@ def roundtrip_audit(
         actual = decode(model, encode(model, doc.text).ids)
         if actual == expected:
             exact += 1
-        elif len(mismatched) < max_examples:
+        elif len(mismatched) < AUDIT_EXAMPLES:
             mismatched.append({"id": doc.id, "expected": expected, "actual": actual})
     return {"checked": len(sample), "exact": exact, "mismatched": mismatched}
 

@@ -41,20 +41,12 @@ _EMAIL_RE = re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9-]+(?:\.[A-Za-z0-9-]+)*\.[A
 _MENTION_RE = re.compile(r"@\w+")
 
 
-@dataclass
-class Placeholders:
-    """Replacement tokens for URLs, mentions and emails.
-
-    The defaults are ASCII and contain no whitespace, digits or repeated
-    characters, so they are fixed points of the whole pipeline.
-    """
-
-    url: str = "[URL]"
-    mention: str = "[USER]"
-    email: str = "[EMAIL]"
-
-
-_DEFAULT_PLACEHOLDERS = Placeholders()
+# Replacement tokens for URLs, mentions and emails. They are ASCII and
+# contain no whitespace, digits or repeated characters, so they are fixed
+# points of the whole pipeline.
+URL_PLACEHOLDER = "[URL]"
+MENTION_PLACEHOLDER = "[USER]"
+EMAIL_PLACEHOLDER = "[EMAIL]"
 
 
 @dataclass
@@ -131,7 +123,6 @@ def strip_markup(text: str) -> str:
 
 def replace_entities(
     text: str,
-    placeholders: Placeholders | None = None,
     *,
     urls: bool = True,
     mentions: bool = True,
@@ -144,15 +135,13 @@ def replace_entities(
     Each pass runs only when the literal every match holds ("://" or
     "www.", "@") is in the text; most texts hold none.
     """
-    ph = placeholders or _DEFAULT_PLACEHOLDERS
     if urls and ("://" in text or "www." in text):
-        text = _URL_RE.sub(ph.url, text)
-    # Looked for after the URL pass: a custom URL placeholder may hold one.
+        text = _URL_RE.sub(URL_PLACEHOLDER, text)
     if "@" in text:
         if emails:
-            text = _EMAIL_RE.sub(ph.email, text)
+            text = _EMAIL_RE.sub(EMAIL_PLACEHOLDER, text)
         if mentions:
-            text = _MENTION_RE.sub(ph.mention, text)
+            text = _MENTION_RE.sub(MENTION_PLACEHOLDER, text)
     return text
 
 

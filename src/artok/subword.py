@@ -25,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from itertools import chain, count, repeat
+from itertools import repeat
 from operator import add, itemgetter, mul
 from pathlib import Path
 from typing import Callable, ClassVar, Iterable, Iterator
@@ -94,27 +94,32 @@ class TokenizerModel:
         return {tok: i for i, tok in enumerate(self.vocab)}
 
     @cached_property
-    def merge_ids(self) -> tuple[list[int], list[int], list[int], dict]:
+    def merge_ids(self) -> tuple[list[int], list[int], list[int]]:
         """The merges on ids: (left, right, output) lists in rank order,
-        and the symbol -> id table they index. Built at C level, once per
-        model: load_model's validation builds it and the bpe encoders
-        reuse it. A side or output absent from the vocab, which only an
-        unvalidated in-memory model has, gets an interned id >= len(vocab)
-        in a copy of token_ids."""
+        built at C level once per model. This is the one check of a merge
+        list: a side that is no string, a side or output absent from the
+        vocab, or a right side that is no continuation raises
+        ModelFormatError naming the first such merge. load_model's
+        validation builds it and the bpe encoders reuse it."""
         token_ids = self.token_ids
         lefts = list(map(_FIRST, self.merges))
         rights = list(map(_SECOND, self.merges))
-        sides = (lefts, rights, list(map(add, lefts, map(_AFTER_PREFIX, rights))))
-        try:
-            return (*[list(map(token_ids.__getitem__, side)) for side in sides], token_ids)
-        except KeyError:
-            pass
-        symbol_ids = dict(token_ids)
-        fresh = count(len(self.vocab))
-        for sym in chain(*sides):
-            if sym not in symbol_ids:
-                symbol_ids[sym] = next(fresh)
-        return (*[list(map(symbol_ids.__getitem__, side)) for side in sides], symbol_ids)
+        with contextlib.suppress(KeyError, TypeError):
+            if all(map(str.startswith, rights, repeat(CONT_PREFIX))):
+                outputs = list(map(add, lefts, map(_AFTER_PREFIX, rights)))
+                return tuple([list(map(token_ids.__getitem__, side))
+                              for side in (lefts, rights, outputs)])
+        # Some merge fails a check: name the first.
+        for left, right in self.merges:
+            if not (isinstance(left, str) and isinstance(right, str)):
+                raise ModelFormatError(f"malformed merge, sides must be strings: {(left, right)}")
+            if left not in token_ids or right not in token_ids:
+                raise ModelFormatError(f"merge input missing from vocab: {(left, right)}")
+            if not right.startswith(CONT_PREFIX):
+                raise ModelFormatError(f"malformed merge, right side is no continuation: "
+                                       f"{(left, right)}")
+            if merge_output(left, right) not in token_ids:
+                raise ModelFormatError(f"merge output missing from vocab: {(left, right)}")
 
     @cached_property
     def encode_word(self) -> Callable[[str], tuple[int, ...]]:
@@ -122,7 +127,7 @@ class TokenizerModel:
         evaluation; see `_word_encoder`."""
         bpe = self.kind in (KIND_BPE, KIND_BPE_MORPH)
         return _word_encoder(self.kind, self.token_ids, self.merge_ids if bpe else None,
-                             len(self.vocab), self.clitic_table)
+                             self.clitic_table)
 
     @cached_property
     def decode_table(self) -> tuple[list[str], list[int | None]]:
@@ -293,7 +298,7 @@ def _wordpiece_pieces(word: str, vocab: dict) -> list[str]:
 CACHE_SIZE = 20000
 
 
-def _word_encoder(kind: str, token_ids: dict, merge_ids: tuple | None, vocab_size: int,
+def _word_encoder(kind: str, token_ids: dict, merge_ids: tuple | None,
                   clitic_table: CliticTable | None) -> Callable[[str], tuple[int, ...]]:
     """A model's word encoder: a normalized whitespace word to its ids (for
     bpe_morph, the ids of its clitic segments in order).
@@ -306,11 +311,12 @@ def _word_encoder(kind: str, token_ids: dict, merge_ids: tuple | None, vocab_siz
     caches nothing. The encoders close over the lookup tables, not the
     model, so a dropped model is freed at once.
 
-    bpe replays the merges on ids (`TokenizerModel.merge_ids`). A
-    position list holds the rank of each adjacent pair; each round takes
-    the lowest rank, merges every non-overlapping occurrence of its pair
-    from left to right and re-ranks only the pairs beside each merge.
-    Ids outside the vocab come out as UNK_ID."""
+    bpe replays the merges on ids (`TokenizerModel.merge_ids`, so a model
+    whose merge list is unsound raises ModelFormatError here). A position
+    list holds the rank of each adjacent pair; each round takes the
+    lowest rank, merges every non-overlapping occurrence of its pair from
+    left to right and re-ranks only the pairs beside each merge. A
+    character absent from the vocab comes out as UNK_ID."""
     if kind == KIND_WORDLEVEL:
         def wordlevel_ids(word: str) -> tuple[int, ...]:
             return (token_ids.get(word, UNK_ID),)
@@ -320,21 +326,20 @@ def _word_encoder(kind: str, token_ids: dict, merge_ids: tuple | None, vocab_siz
         def wordpiece_ids(word: str) -> tuple[int, ...]:
             return tuple([token_ids.get(t, UNK_ID) for t in _wordpiece_pieces(word, token_ids)])
         return wordpiece_ids
-    lefts, rights, outputs, symbol_ids = merge_ids
-    # A symbol absent from symbol_ids gets `unknown`, above every id in
+    lefts, rights, outputs = merge_ids
+    # A character absent from the vocab gets `unknown`, above every id in
     # it. A pair's key is left * width + right, so no merge has a key with
     # `unknown` on either side.
-    unknown = vocab_size + len(symbol_ids)
+    unknown = max(token_ids.values(), default=-1) + 1
     width = unknown + 1
     # A later duplicate of a pair takes its rank; its output is the same.
     rank_of = dict(zip(map(add, map(mul, lefts, repeat(width)), rights),
                        range(len(lefts)))).get
     no_merge = len(lefts)
-    first_id = symbol_ids.get
+    first_id = token_ids.get
     # A character's continuation id, without building its "##" string.
-    cont_id = {sym[len(CONT_PREFIX):]: i for sym, i in symbol_ids.items()
-               if isinstance(sym, str) and len(sym) == len(CONT_PREFIX) + 1
-               and sym.startswith(CONT_PREFIX)}.get
+    cont_id = {sym[len(CONT_PREFIX):]: i for sym, i in token_ids.items()
+               if len(sym) == len(CONT_PREFIX) + 1 and sym.startswith(CONT_PREFIX)}.get
 
     @lru_cache(CACHE_SIZE)
     def bpe_ids(word: str) -> tuple[int, ...]:
@@ -359,8 +364,8 @@ def _word_encoder(kind: str, token_ids: dict, merge_ids: tuple | None, vocab_siz
                     break
                 i = ranks.index(best, i + 1)
             best = min(ranks, default=no_merge)
-        if max(ids) >= vocab_size:
-            return tuple([i if i < vocab_size else UNK_ID for i in ids])
+        if max(ids) == unknown:
+            return tuple([i if i < unknown else UNK_ID for i in ids])
         return tuple(ids)
     if kind == KIND_BPE:
         return bpe_ids
@@ -474,45 +479,19 @@ def save_model(model: TokenizerModel, path: str | Path) -> None:
 
 
 def validate_model(model: TokenizerModel) -> None:
-    """Check a model's vocabulary and merges against each other, through
-    the token -> id and merge-id tables that its first encode then
-    reuses."""
+    """Check a model's vocabulary, then its merges by building the merge-id
+    table (`TokenizerModel.merge_ids`); its first encode reuses both
+    tables."""
     if not all(isinstance(tok, str) for tok in model.vocab):
         raise ModelFormatError("malformed vocabulary, every token must be a string")
     if list(model.vocab[:len(SPECIALS)]) != list(SPECIALS):
         raise ModelFormatError("reserved tokens must occupy ids 0-4")
-    token_ids = model.token_ids
-    if len(token_ids) != len(model.vocab):
+    if len(model.token_ids) != len(model.vocab):
         raise ModelFormatError("vocabulary contains duplicate tokens")
     if model.kind == KIND_WORDLEVEL and model.merges:
         raise ModelFormatError("wordlevel model must not carry merges")
-    if not model.merges or _merges_sound(model):
-        return
-    # Name the first bad merge.
-    for left, right in model.merges:
-        if not (isinstance(left, str) and isinstance(right, str)):
-            raise ModelFormatError(f"malformed merge, sides must be strings: {(left, right)}")
-        if left not in token_ids or right not in token_ids:
-            raise ModelFormatError(f"merge input missing from vocab: {(left, right)}")
-        if not right.startswith(CONT_PREFIX):
-            raise ModelFormatError(f"malformed merge, right side is no continuation: "
-                                   f"{(left, right)}")
-        if merge_output(left, right) not in token_ids:
-            raise ModelFormatError(f"merge output missing from vocab: {(left, right)}")
-
-
-def _merges_sound(model: TokenizerModel) -> bool:
-    """The checks of validate_model's merge loop on every merge at once,
-    through the model's merge_ids: every side and output is in the vocab
-    (every id is below len(vocab), which holds exactly when merge_ids
-    interned nothing, so its table is token_ids itself) and every right
-    side is a continuation."""
-    try:
-        symbol_ids = model.merge_ids[3]
-    except (TypeError, IndexError):  # a side that is no string, or a merge that is no pair
-        return False
-    return (symbol_ids is model.token_ids
-            and all(map(str.startswith, map(_SECOND, model.merges), repeat(CONT_PREFIX))))
+    if model.merges:
+        model.merge_ids
 
 
 def _merge_pairs(pairs: list) -> list[tuple[str, str]]:
@@ -540,8 +519,6 @@ def load_model(path: str | Path) -> TokenizerModel:
     stored = data.pop("checksum", None)
     if stored is not None and stored != _bundle_checksum(raw, data):
         raise ModelFormatError("model bundle checksum mismatch")
-    if data.get("kind") != KIND_WORDLEVEL and "merges" not in data:
-        raise ModelFormatError(f"kind {data.get('kind')!r} requires a merge list")
     if data.get("specials") != list(SPECIALS) or data.get("continuation_prefix") != CONT_PREFIX:
         raise ModelFormatError(
             f"bundle must use the reserved tokens {list(SPECIALS)} "

@@ -289,7 +289,9 @@ class _WordPieceSelector:
 
 
 def _run_merge_loop(engine: _MergeEngine, selector, vocab_size: int):
-    vocab = list(SPECIALS) + list(engine.alphabet)
+    """Merge until the vocab reaches vocab_size or no pair is left; the
+    vocab is the engine's symbol list, which every merge extends."""
+    vocab = engine.sym_strs
     vocab_set = set(vocab)
     merges: list[tuple[str, str]] = []
     while len(vocab) < vocab_size:
@@ -301,16 +303,15 @@ def _run_merge_loop(engine: _MergeEngine, selector, vocab_size: int):
             )
             break
         a, b = key
-        token = merge_output(engine.sym_strs[a], engine.sym_strs[b])
+        token = merge_output(vocab[a], vocab[b])
         if token in vocab_set:
             # Merging would alias an existing token string; skipping keeps
             # vocab entries 1:1 with merges and makes encode-time merge
             # replay reproduce training exactly.
             selector.kill(key)
             continue
+        merges.append((vocab[a], vocab[b]))
         new_id = engine.register_symbol(token)
-        merges.append((engine.sym_strs[a], engine.sym_strs[b]))
-        vocab.append(token)
         vocab_set.add(token)
         selector.notify(engine.apply_merge(a, b, new_id))
     return vocab, merges

@@ -7,8 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import oracle_normalize
 
 from artok.normalize import (
+    EMAIL_PLACEHOLDER,
+    MENTION_PLACEHOLDER,
+    URL_PLACEHOLDER,
     NormalizerConfig,
-    Placeholders,
     collapse_repeats,
     map_digits,
     normalize,
@@ -44,13 +46,6 @@ def test_replace_entities():
     assert replace_entities("see https://x.ye/a now") == "see [URL] now"
     assert replace_entities("ask @user1") == "ask [USER]"
     assert replace_entities("a@b.com and @a") == "[EMAIL] and [USER]"
-
-
-def test_replace_entities_custom_placeholders():
-    ph = Placeholders(url="<u>", mention="<m>", email="<e>")
-    assert replace_entities("www.x.com a@b.de @c", ph) == "<u> <e> <m>"
-    # a URL placeholder may itself hold a mention
-    assert replace_entities("see www.x.com", Placeholders(url="@link")) == "see [USER]"
 
 
 def test_collapse_repeats():
@@ -103,7 +98,7 @@ def test_config_roundtrip_and_validation():
 
 
 def test_placeholders_are_fixed_points():
-    for ph in (Placeholders().url, Placeholders().mention, Placeholders().email):
+    for ph in (URL_PLACEHOLDER, MENTION_PLACEHOLDER, EMAIL_PLACEHOLDER):
         assert normalize(ph) == ph
 
 

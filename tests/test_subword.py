@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import random
+import re
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -460,15 +461,30 @@ SYMBOLS = st.one_of(SIDES, SIDES.map("##".__add__))
 # first of them forms with the second could.
 @example(kind="bpe", vocab=["ا", "##ا", "##ب", "##با", "##باب"],
          merges=[("##با", "##ب"), ("##ب", "##ا")], repeats=0, words=["ابابا"])
+# With a duplicate entry the vocab's largest id is len(token_ids), here
+# "##ب"'s; "x", absent from the vocab, must not take it and merge.
+@example(kind="bpe", vocab=["ب", "ب", "بب", "##ب"], merges=[("ب", "##ب")], repeats=1,
+         words=["بx", "بب"])
 def test_unvalidated_encoders_match_the_string_replay(kind, vocab, merges, repeats, words):
-    # Duplicate merges, merge sides and outputs outside the vocab, right
-    # sides without the prefix and duplicate vocab entries all encode as
-    # the string replay does.
+    # A sound merge list encodes as the string replay does, duplicate
+    # merges and duplicate vocab entries included. An unsound one (a
+    # side or output outside the vocab, a right side without the prefix)
+    # raises, naming its first bad merge.
     merges = merges + merges[:repeats]
     model = TokenizerModel(kind=kind, vocab=list(SPECIALS) + vocab, merges=merges,
                            normalizer=NormalizerConfig(), clitic_table=CliticTable())
+    bad = next((m for m in merges if not _merge_sound(model.token_ids, *m)), None)
     for word in words:
-        assert model.encode_word(word) == _oracle_word_ids(model, word), word
+        if bad is None:
+            assert model.encode_word(word) == _oracle_word_ids(model, word), word
+        else:
+            with pytest.raises(ModelFormatError, match=re.escape(f": {bad}") + "$"):
+                model.encode_word(word)
+
+
+def _merge_sound(token_ids, left, right):
+    return (left in token_ids and right in token_ids and right.startswith("##")
+            and left + right[2:] in token_ids)
 
 
 def test_segment_call_site_sees_each_missed_morph_word(monkeypatch, replay_models):
@@ -576,13 +592,14 @@ def test_dropped_model_is_freed_without_the_cycle_collector(tmp_path, trained_mo
         gc.enable()
 
 
-def test_load_rejects_missing_merges_for_bpe(tmp_path, trained_models):
+@pytest.mark.parametrize("index", [0, 2], ids=["bpe", "wordlevel"])
+def test_load_rejects_missing_merges(tmp_path, trained_models, index):
     path = tmp_path / "m.json"
-    save_model(trained_models[0], path)
+    save_model(trained_models[index], path)
     data = json.loads(path.read_text(encoding="utf-8"))
-    del data["merges"]
+    del data["checksum"], data["merges"]
     path.write_text(json.dumps(data), encoding="utf-8")
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ModelFormatError, match="^malformed model bundle: 'merges'$"):
         load_model(path)
 
 
@@ -629,9 +646,14 @@ def test_load_names_the_first_bad_merge(tmp_path, trained_models, flaw, later_ba
     merges.insert(len(merges) // 2, bad)
     if later_bad_merge:
         merges.append(("q", "##q"))  # the message must not name it
-    with pytest.raises(ModelFormatError) as err:
-        _load_with_merges(tmp_path, model, [list(m) for m in merges])
-    assert str(err.value) == f"{message}: {bad}"
+    # Loading the bundle and the first encode of the same in-memory model
+    # both fail in merge_ids, with the same message.
+    in_memory = replace(model, merges=merges)
+    for first_use in (lambda: _load_with_merges(tmp_path, model, [list(m) for m in merges]),
+                      lambda: in_memory.encode_word):
+        with pytest.raises(ModelFormatError) as err:
+            first_use()
+        assert str(err.value) == f"{message}: {bad}"
 
 
 def test_load_rejects_wordlevel_merges(tmp_path, trained_models):
@@ -645,9 +667,8 @@ def test_load_builds_merge_ids_from_token_ids(tmp_path, trained_models):
         loaded = _load_with_merges(tmp_path, model, [list(m) for m in model.merges])
         # load builds the table that the first encode then reuses
         assert ("merge_ids" in vars(loaded)) == bool(model.merges)
-        left, right, output, symbol_ids = loaded.merge_ids
+        left, right, output = loaded.merge_ids
         ids = loaded.token_ids
-        assert symbol_ids is ids
         assert left == [ids[a] for a, _ in model.merges]
         assert right == [ids[b] for _, b in model.merges]
         assert output == [ids[merge_output(a, b)] for a, b in model.merges]
