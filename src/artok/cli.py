@@ -164,8 +164,6 @@ def _add_filter_flags(p: argparse.ArgumentParser) -> None:
 _SHARED_FLAGS = {
     "--normalizer": dict(default=None, help="JSON file with normalizer settings"),
     "--clitic-table": dict(default=None, help="JSON clitic table file"),
-    "--threads": dict(type=int, default=1,
-                      help="worker processes for counting, and for training compare's kinds"),
 }
 
 
@@ -193,8 +191,7 @@ def build_parser() -> _Parser:
                         "(implied by --normalizer)")
     _add_filter_flags(p)
 
-    p = add_command("train", "train one tokenizer",
-                    "--normalizer", "--clitic-table", "--threads")
+    p = add_command("train", "train one tokenizer", "--normalizer", "--clitic-table")
     _add_corpus_flags(p)
     p.add_argument("--kind", required=True, choices=ALL_KINDS)
     p.add_argument("--vocab", required=True, type=int, help="vocabulary size")
@@ -220,8 +217,10 @@ def build_parser() -> _Parser:
     p.add_argument("--output", default=None, help="also write a one-row CSV here")
 
     p = add_command("compare", "train and evaluate the full kind x size grid",
-                    "--normalizer", "--clitic-table", "--threads")
+                    "--normalizer", "--clitic-table")
     _add_corpus_flags(p)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes that train the kinds side by side")
     p.add_argument("--kinds", default=",".join(ALL_KINDS),
                    help="comma-separated tokenizer kinds")
     p.add_argument("--sizes", default=",".join(str(s) for s in DEFAULT_SIZES),
@@ -302,7 +301,7 @@ def _cmd_train(args) -> int:
     if not docs:
         raise DataError("no documents left after filtering")
     started = time.perf_counter()
-    model = train_model(docs, args.kind, args.vocab, normalizer, table, workers=args.threads)
+    model = train_model(docs, args.kind, args.vocab, normalizer, table)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.json")

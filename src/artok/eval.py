@@ -13,11 +13,16 @@ import functools
 import hashlib
 import json
 import logging
+import multiprocessing
+import os
 import random
+import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .corpus import Document
 from .morphseg import CliticTable
@@ -36,7 +41,6 @@ from .subword import (
     load_model,
     save_model,
     truncate_model,
-    worker_pool,
 )
 from .trainers import train_from_pretokens
 
@@ -127,16 +131,53 @@ def train_model(
     vocab_size: int,
     normalizer: NormalizerConfig | None = None,
     clitic_table: CliticTable | None = None,
-    workers: int = 1,
 ) -> TokenizerModel:
-    """Train one tokenizer of any kind from filtered documents: pre-token
-    counts from count_pretokens (on a worker_pool of `workers` processes
-    when workers > 1), then train_from_pretokens."""
+    """Train one tokenizer of any kind from filtered documents, in this
+    process: pre-token counts from count_pretokens, then
+    train_from_pretokens."""
     normalizer = normalizer or NormalizerConfig()
-    table = _table(kind, clitic_table or CliticTable())
-    with (worker_pool(workers) if workers > 1 else contextlib.nullcontext()) as pool:
-        pretokens = count_pretokens(docs, _family(kind), normalizer, table, pool=pool)
-    return train_from_pretokens(pretokens, kind, vocab_size, normalizer, table)
+    clitic_table = clitic_table or CliticTable()
+    pretokens = count_pretokens(docs, _family(kind), normalizer, clitic_table)
+    return train_from_pretokens(pretokens, kind, vocab_size, normalizer, clitic_table)
+
+
+def _exit_with_parent(caller: int) -> None:
+    """Pool initializer: end this worker once `caller`, the process that
+    made the pool and this worker's parent, is gone. A worker of a killed
+    caller would otherwise block for good on a pipe whose other end a
+    sibling worker holds open."""
+    def watch():
+        while os.getppid() == caller:
+            time.sleep(0.5)
+        os._exit(1)
+    threading.Thread(target=watch, daemon=True).start()
+
+
+@contextlib.contextmanager
+def worker_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
+    """A pool of `workers` spawned processes for compare_grid's training
+    jobs; leaving the block shuts it down and cancels the calls that have
+    not started. Each worker ends itself once this process is gone. A
+    spawned worker starts by re-running the caller's main script, and if
+    one dies there (the script lacks a `__main__` guard) this raises
+    RuntimeError naming the guard."""
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
+                               initializer=_exit_with_parent, initargs=(os.getpid(),))
+    try:
+        # One tiny call per worker starts them all at once, so that one
+        # dying while it starts does so before large arguments are queued:
+        # a pipe nobody reads would hold the pool's shutdown forever.
+        try:
+            for started in [pool.submit(os.getpid) for _ in range(workers)]:
+                started.result()
+        except BrokenProcessPool as exc:
+            raise RuntimeError(
+                "worker processes exited while starting: a script that calls compare_grid "
+                "with worker processes must make that call under an "
+                '`if __name__ == "__main__":` guard') from exc
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def compare_grid(
@@ -153,14 +194,14 @@ def compare_grid(
 
     Merge selection never depends on the target vocabulary size, so each
     kind trains once at max(sizes) and the smaller cells are exact
-    prefix truncations of that model. With workers > 1 and a kind to
-    train, one worker_pool of `workers` processes serves the whole call:
-    it counts pre-tokens once per family, then trains the kinds side by
-    side while this process truncates, saves and evaluates each model in
-    `kinds` order. With workers <= 1 all of it runs here. With models_dir set,
-    each bundle is written there beside a `.key` file fingerprinting the
-    training inputs, and a kind whose largest bundle carries the current
-    key is re-loaded instead of retrained.
+    prefix truncations of that model. This process counts pre-tokens once
+    per needed family. Then, with workers > 1 and at least two kinds to
+    train, a worker_pool of min(workers, kinds to train) processes trains
+    them side by side while this process truncates, saves and evaluates
+    each model in `kinds` order; otherwise all of it runs here. With
+    models_dir set, each bundle is written there beside a `.key` file
+    fingerprinting the training inputs, and a kind whose largest bundle
+    carries the current key is re-loaded instead of retrained.
     """
     if not sizes:
         raise ValueError("sizes must be non-empty")
@@ -181,24 +222,19 @@ def compare_grid(
         key = _inputs_key(train_docs, normalizer, clitic_table)
     untrained = [kind for kind in kinds
                  if key is None or not _is_cached(models_dir, kind, v_max, key)]
+    pretokens = {family: count_pretokens(train_docs, family, normalizer, clitic_table)
+                 for family in dict.fromkeys(map(_family, untrained))}
+    if untrained:
+        log.info("training %s @ %d", ", ".join(untrained), v_max)
     rows: list[MetricsRow] = []
     spread: dict[str, float] = {}
-    with (worker_pool(workers) if untrained and workers > 1
-          else contextlib.nullcontext()) as pool:
-        pretokens: dict = {}
-        for kind in untrained:
-            family = _family(kind)
-            if family not in pretokens:
-                pretokens[family] = count_pretokens(
-                    train_docs, family, normalizer, _table(kind, clitic_table), pool=pool,
-                )
-        if untrained:
-            log.info("training %s @ %d", ", ".join(untrained), v_max)
+    pool_size = min(workers, len(untrained))
+    with (worker_pool(pool_size) if pool_size > 1 else contextlib.nullcontext()) as pool:
         # kind -> a call that gives its `_train_cell` result: the job runs
         # on the pool, or without one in-process when called
         jobs = {}
         for kind in untrained:
-            args = (pretokens[_family(kind)], kind, v_max, normalizer, _table(kind, clitic_table))
+            args = (pretokens[_family(kind)], kind, v_max, normalizer, clitic_table)
             jobs[kind] = (functools.partial(_train_cell, *args) if pool is None
                           else pool.submit(_train_cell, *args).result)
         for kind in kinds:
@@ -230,10 +266,6 @@ def compare_grid(
 def _family(kind: str) -> str:
     """Pre-token family: clitic segments for bpe_morph, plain words otherwise."""
     return KIND_BPE_MORPH if kind == KIND_BPE_MORPH else KIND_BPE
-
-
-def _table(kind: str, clitic_table: CliticTable) -> CliticTable | None:
-    return clitic_table if kind == KIND_BPE_MORPH else None
 
 
 def _train_cell(pretokens, kind, vocab_size, normalizer, clitic_table):

@@ -14,21 +14,16 @@ import contextlib
 import hashlib
 import json
 import logging
-import multiprocessing
 import os
 import re
 import tempfile
-import threading
-import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import repeat
 from operator import add, itemgetter, mul
 from pathlib import Path
-from typing import Callable, ClassVar, Iterable, Iterator
+from typing import Callable, ClassVar, Iterable
 
 from .corpus import Document
 from .morphseg import CliticTable, desegment_text, segment_word, _segmentable
@@ -97,20 +92,24 @@ class TokenizerModel:
     def merge_ids(self) -> tuple[list[int], list[int], list[int]]:
         """The merges on ids: (left, right, output) lists in rank order,
         built at C level once per model. This is the one check of a merge
-        list: a side that is no string, a side or output absent from the
-        vocab, or a right side that is no continuation raises
-        ModelFormatError naming the first such merge. load_model's
-        validation builds it and the bpe encoders reuse it."""
+        list: a merge that is not a pair, a side that is no string, a side
+        or output absent from the vocab, or a right side that is no
+        continuation raises ModelFormatError naming the first such merge.
+        load_model's validation builds it and the bpe encoders reuse it."""
         token_ids = self.token_ids
-        lefts = list(map(_FIRST, self.merges))
-        rights = list(map(_SECOND, self.merges))
         with contextlib.suppress(KeyError, TypeError):
-            if all(map(str.startswith, rights, repeat(CONT_PREFIX))):
-                outputs = list(map(add, lefts, map(_AFTER_PREFIX, rights)))
-                return tuple([list(map(token_ids.__getitem__, side))
-                              for side in (lefts, rights, outputs)])
+            if set(map(len, self.merges)) <= {2}:
+                lefts = list(map(_FIRST, self.merges))
+                rights = list(map(_SECOND, self.merges))
+                if all(map(str.startswith, rights, repeat(CONT_PREFIX))):
+                    outputs = list(map(add, lefts, map(_AFTER_PREFIX, rights)))
+                    return tuple([list(map(token_ids.__getitem__, side))
+                                  for side in (lefts, rights, outputs)])
         # Some merge fails a check: name the first.
-        for left, right in self.merges:
+        for merge in self.merges:
+            if not isinstance(merge, (tuple, list)) or len(merge) != 2:
+                raise ModelFormatError(f"malformed merge, not a pair: {merge!r}")
+            left, right = merge
             if not (isinstance(left, str) and isinstance(right, str)):
                 raise ModelFormatError(f"malformed merge, sides must be strings: {(left, right)}")
             if left not in token_ids or right not in token_ids:
@@ -183,86 +182,28 @@ def _segments(word: str, table: CliticTable) -> list[str]:
     return segment_word(word, table).segments if _segmentable(word) else [word]
 
 
-def _count_shard(texts: list[str], kind: str, normalizer: NormalizerConfig,
-                 table: CliticTable | None) -> Counter:
-    words: Counter = Counter()
-    for text in texts:
-        words.update(normalize(text, normalizer).split())
-    if kind != KIND_BPE_MORPH:
-        return words
-    segments: Counter = Counter()
-    for word, n in words.items():
-        for seg in _segments(word, table):
-            segments[seg] += n
-    return segments
-
-
-def _exit_with_parent(caller: int) -> None:
-    """Pool initializer: end this worker once `caller`, the process that
-    made the pool and this worker's parent, is gone. A worker of a killed
-    caller would otherwise block for good on a pipe whose other end a
-    sibling worker holds open."""
-    def watch():
-        while os.getppid() == caller:
-            time.sleep(0.5)
-        os._exit(1)
-    threading.Thread(target=watch, daemon=True).start()
-
-
-@contextlib.contextmanager
-def worker_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
-    """A pool of `workers` spawned processes for count_pretokens shards and
-    training jobs; leaving the block shuts it down and cancels the calls
-    that have not started. Each worker ends itself once this process is
-    gone. A spawned worker starts by re-running the caller's main script,
-    and if one dies there (the script lacks a `__main__` guard) this
-    raises RuntimeError naming the guard."""
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
-                               initializer=_exit_with_parent, initargs=(os.getpid(),))
-    try:
-        # One tiny call per worker starts them all at once, so that one
-        # dying while it starts does so before large arguments are queued:
-        # a pipe nobody reads would hold the pool's shutdown forever.
-        try:
-            for started in [pool.submit(os.getpid) for _ in range(workers)]:
-                started.result()
-        except BrokenProcessPool as exc:
-            raise RuntimeError(
-                "worker processes exited while starting: a script that calls compare_grid, "
-                "train_model or count_pretokens with worker processes must make that call "
-                'under an `if __name__ == "__main__":` guard') from exc
-        yield pool
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def count_pretokens(
     corpus: Iterable[Document],
     kind: str,
     normalizer: NormalizerConfig,
     clitic_table: CliticTable | None = None,
-    pool: ProcessPoolExecutor | None = None,
 ) -> Counter:
-    """Tally pre-token frequencies over a filtered document stream.
-
-    Pre-tokens are the whitespace words of the normalized text, or for
-    bpe_morph their clitic segments. Counts are order-free, so given a
-    `pool` (see worker_pool) the corpus is split into one shard per pool
-    worker, the shards are counted there, and their counters are summed
-    in shard order. Without one, this process counts.
-    """
+    """Tally pre-token frequencies over a filtered document stream, in this
+    process. Pre-tokens are the whitespace words of the normalized text,
+    or for bpe_morph their clitic segments; the table is read for
+    bpe_morph only."""
     if kind == KIND_BPE_MORPH and clitic_table is None:
         raise ValueError("bpe_morph pretokenization requires a clitic table")
-    texts = [doc.text for doc in corpus]
-    args = (kind, normalizer, clitic_table)
-    shards = min(pool._max_workers, len(texts)) if pool is not None else 1
-    if shards <= 1:
-        return _count_shard(texts, *args)
-    counts: Counter = Counter()
-    futures = [pool.submit(_count_shard, texts[i::shards], *args) for i in range(shards)]
-    for fut in futures:
-        counts.update(fut.result())
-    return counts
+    words: Counter = Counter()
+    for doc in corpus:
+        words.update(normalize(doc.text, normalizer).split())
+    if kind != KIND_BPE_MORPH:
+        return words
+    segments: Counter = Counter()
+    for word, n in words.items():
+        for seg in _segments(word, clitic_table):
+            segments[seg] += n
+    return segments
 
 
 # ---------------------------------------------------------------------------

@@ -231,12 +231,13 @@ def test_config_file_supplies_missing_values(tmp_path, corpus_path, capsys):
 
 
 @pytest.mark.parametrize("command, cfg", [
-    ("train", {"threads": 1.5}),
+    ("train", {"min_chars": 1.5}),
     ("train", {"normalizer": {"map_digits": False}}),
     ("train", {"format": "csv"}),
     ("train", {"no_filter": "yes"}),
     ("compare", {"threads": "two"}),
     ("compare", {"min_arabic_ratio": True}),
+    ("compare", {"threads": 1.5}),
 ])
 def test_config_value_argparse_would_reject_is_a_data_error(
         command, cfg, tmp_path, corpus_path, capsys, caplog):
@@ -254,7 +255,7 @@ def test_config_value_argparse_would_reject_is_a_data_error(
 
 def test_config_values_convert_like_flag_arguments(tmp_path, corpus_path, capsys):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"threads": "2", "min_arabic_ratio": 0, "no_filter": True}),
+    path.write_text(json.dumps({"min_chars": "50", "min_arabic_ratio": 0, "no_filter": False}),
                     encoding="utf-8")
     rc, out, _ = run(capsys, "train", "--corpus", str(corpus_path), "--kind", "wordlevel",
                      "--vocab", "200", "--out", str(tmp_path / "m"), "--config", str(path))
@@ -310,6 +311,8 @@ def test_usage_error_exits_1(capsys):
      "--threads"),
     (["train", "--corpus", "{corpus}", "--kind", "bpe", "--vocab", "200",
       "--out", "{out}", "--seed", "0"], "--seed"),
+    (["train", "--corpus", "{corpus}", "--kind", "bpe", "--vocab", "200",
+      "--out", "{out}", "--threads", "2"], "--threads"),
 ])
 def test_flag_the_command_does_not_read_is_a_usage_error(
         argv, flag, tmp_path, corpus_path, wordlevel_model, capsys):
@@ -361,16 +364,21 @@ def test_train_determinism_same_inputs(tmp_path, corpus_path, capsys):
 
 
 def test_python_m_artok_train_in_worker_processes(tmp_path, corpus_path):
-    # artok/__main__.py has no __main__ guard; spawned workers never
-    # re-run a package's __main__ module, so it needs none.
+    # `compare` trains its kinds in spawned workers. artok/__main__.py has
+    # no __main__ guard; spawned workers never re-run a package's
+    # __main__ module, so it needs none.
     src = str(Path(artok.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     for threads in ("2", "1"):
         proc = subprocess.run(
-            [sys.executable, "-m", "artok", "train", "--corpus", str(corpus_path),
-             "--kind", "bpe", "--vocab", "400", "--out", str(tmp_path / threads),
-             "--threads", threads],
+            [sys.executable, "-m", "artok", "compare", "--corpus", str(corpus_path),
+             "--kinds", "bpe,wordpiece", "--sizes", "200,400",
+             "--out-dir", str(tmp_path / threads), "--threads", threads],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-    for name in ("model.json", "vocab.txt", "merges.txt"):
-        assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+    bundles = sorted(p.name for p in (tmp_path / "2" / "models").glob("*.json"))
+    assert bundles == ["bpe_200.json", "bpe_400.json", "wordpiece_200.json",
+                       "wordpiece_400.json"]
+    for name in bundles:
+        assert ((tmp_path / "2" / "models" / name).read_bytes()
+                == (tmp_path / "1" / "models" / name).read_bytes())

@@ -23,9 +23,10 @@ from artok.eval import (
     roundtrip_audit,
     split_eval_docs,
     train_model,
+    worker_pool,
 )
 from artok.normalize import NormalizerConfig
-from artok.subword import ALL_KINDS, load_model, worker_pool
+from artok.subword import ALL_KINDS, load_model
 from artok.trainers import train_from_pretokens
 
 
@@ -216,7 +217,7 @@ def test_compare_grid_worker_failure_names_the_cell_and_ends_the_pool(small_corp
 UNGUARDED_SCRIPT = """
 import random
 from artok.corpus import Document
-from artok.eval import compare_grid, train_model
+from artok.eval import compare_grid
 
 rng = random.Random(0)
 letters = "ابتثجحخدذرزسشصضطظعغفقكلمنهوي"
@@ -240,10 +241,8 @@ def _live_processes_in_group(pgid):
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="lists processes from /proc")
-@pytest.mark.parametrize("call", [
-    "compare_grid(docs, sizes=(40,), workers=2)",
-    'train_model(docs, "bpe", 40, workers=2)',
-], ids=["compare_grid", "train_model"])
+@pytest.mark.parametrize("call", ["compare_grid(docs, sizes=(40,), workers=2)"],
+                         ids=["compare_grid"])
 def test_compare_grid_workers_without_main_guard_fail_fast(tmp_path, call):
     script = tmp_path / "unguarded.py"
     script.write_text(UNGUARDED_SCRIPT + call + "\n", encoding="utf-8")
@@ -276,35 +275,37 @@ def test_compare_grid_workers_without_main_guard_fail_fast(tmp_path, call):
     assert last_line.startswith("RuntimeError") and 'if __name__ == "__main__":' in last_line
 
 
-# Mostly distinct words, so each worker segments for a while and sends
-# back a counter far larger than a pipe holds. argv: start method, number
-# of 2,000-word documents.
-COUNTING_SCRIPT = """
+# A grid whose two kinds train for a while in spawned workers. argv: the
+# start method to set ("default" sets none), the number of 2,000-word
+# documents. It trains with workers=2, then with workers=1, and checks
+# that both give the same rows.
+GRID_SCRIPT = """
 import multiprocessing
 import random
 import sys
 from artok.corpus import Document
-from artok.morphseg import CliticTable
-from artok.normalize import NormalizerConfig
-from artok.subword import count_pretokens, worker_pool
+from artok.eval import compare_grid
 
 if __name__ == "__main__":
-    multiprocessing.set_start_method(sys.argv[1])
+    if sys.argv[1] != "default":
+        multiprocessing.set_start_method(sys.argv[1])
     rng = random.Random(0)
     letters = "ابتثجحخدذرزسشصضطظعغفقكلمنهوي"
     docs = [Document(id=str(i), text=" ".join(
         "".join(rng.choice(letters) for _ in range(rng.randint(3, 8))) for _ in range(2000)))
         for i in range(int(sys.argv[2]))]
-    args = (docs, "bpe_morph", NormalizerConfig(), CliticTable())
-    with worker_pool(2) as pool:
-        assert count_pretokens(*args, pool=pool) == count_pretokens(*args)
-    print("counted")
+    rows = [[(r.kind, r.vocab_size, r.token_to_word, r.unk_rate, r.coverage, r.corpus_words)
+             for r in compare_grid(docs, kinds=("bpe", "wordpiece"), sizes=(3000,),
+                                   workers=workers).rows]
+            for workers in (2, 1)]
+    assert rows[0] == rows[1], rows
+    print("same rows")
 """
 
 
-def _run_counting_script(tmp_path, method, docs, **kwargs):
-    script = tmp_path / "count.py"
-    script.write_text(COUNTING_SCRIPT, encoding="utf-8")
+def _run_grid_script(tmp_path, method, docs, **kwargs):
+    script = tmp_path / "grid.py"
+    script.write_text(GRID_SCRIPT, encoding="utf-8")
     src = str(Path(artok.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.Popen([sys.executable, str(script), method, str(docs)], env=env,
@@ -324,62 +325,6 @@ def _children(parent):
     return found
 
 
-START_METHODS = multiprocessing.get_all_start_methods()
-
-
-@pytest.mark.parametrize("method", START_METHODS)
-def test_count_pretokens_workers_count_under_every_start_method(tmp_path, method):
-    proc = _run_counting_script(tmp_path, method, 4, stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE, text=True)
-    try:
-        out, err = proc.communicate(timeout=120)
-    finally:
-        if _live_processes_in_group(proc.pid):
-            os.killpg(proc.pid, signal.SIGKILL)
-    assert proc.returncode == 0, err
-    assert out.split() == ["counted"]
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc"), reason="lists processes from /proc")
-@pytest.mark.parametrize("method", START_METHODS)
-def test_count_pretokens_workers_exit_when_the_caller_is_killed(tmp_path, method):
-    proc = _run_counting_script(tmp_path, method, 100, stdout=subprocess.DEVNULL,
-                                stderr=subprocess.DEVNULL)
-    try:
-        deadline = time.monotonic() + 60
-        while len(_spawn_workers(proc.pid)) < 2 and proc.poll() is None \
-                and time.monotonic() < deadline:
-            time.sleep(0.01)
-        workers = _spawn_workers(proc.pid)
-        os.kill(proc.pid, signal.SIGKILL)
-        proc.wait()
-        deadline = time.monotonic() + 10
-        while _live_processes_in_group(proc.pid) and time.monotonic() < deadline:
-            time.sleep(0.1)
-        left = _live_processes_in_group(proc.pid)
-    finally:
-        if _live_processes_in_group(proc.pid):
-            os.killpg(proc.pid, signal.SIGKILL)
-    assert len(workers) == 2, "the caller never started its two counting workers"
-    assert left == []
-
-
-# A grid whose two kinds train for a while in spawned workers.
-GRID_SCRIPT = """
-import random
-from artok.corpus import Document
-from artok.eval import compare_grid
-
-if __name__ == "__main__":
-    rng = random.Random(0)
-    letters = "ابتثجحخدذرزسشصضطظعغفقكلمنهوي"
-    docs = [Document(id=str(i), text=" ".join(
-        "".join(rng.choice(letters) for _ in range(rng.randint(3, 8))) for _ in range(2000)))
-        for i in range(20)]
-    compare_grid(docs, kinds=("bpe", "wordpiece"), sizes=(3000,), workers=2)
-"""
-
-
 def _spawn_workers(parent):
     found = []
     for pid in _children(parent):
@@ -392,20 +337,17 @@ def _spawn_workers(parent):
     return found
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc"), reason="lists processes from /proc")
-def test_compare_grid_workers_exit_when_the_caller_is_killed(tmp_path):
-    script = tmp_path / "grid.py"
-    script.write_text(GRID_SCRIPT, encoding="utf-8")
-    src = str(Path(artok.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.Popen([sys.executable, str(script)], env=env, start_new_session=True,
-                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+def _kill_once_two_workers_run(proc):
+    """Kill `proc` once it has two spawned workers. Returns those workers,
+    whether `proc` was still running when killed, and the live processes
+    left in its group afterwards."""
     try:
         deadline = time.monotonic() + 60
         while len(_spawn_workers(proc.pid)) < 2 and proc.poll() is None \
                 and time.monotonic() < deadline:
             time.sleep(0.01)
         workers = _spawn_workers(proc.pid)
+        running = proc.poll() is None
         os.kill(proc.pid, signal.SIGKILL)
         proc.wait()
         deadline = time.monotonic() + 10
@@ -415,7 +357,47 @@ def test_compare_grid_workers_exit_when_the_caller_is_killed(tmp_path):
     finally:
         if _live_processes_in_group(proc.pid):
             os.killpg(proc.pid, signal.SIGKILL)
+    return workers, running, left
+
+
+START_METHODS = multiprocessing.get_all_start_methods()
+
+
+# The start-method tests keep the names they had when the pool also
+# counted pre-tokens: they check that compare_grid's training pool gives
+# the grid of workers=1, and leaves no process behind, whatever start
+# method the caller's script sets.
+@pytest.mark.parametrize("method", START_METHODS)
+def test_count_pretokens_workers_count_under_every_start_method(tmp_path, method):
+    proc = _run_grid_script(tmp_path, method, 4, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    try:
+        out, err = proc.communicate(timeout=120)
+    finally:
+        if _live_processes_in_group(proc.pid):
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert proc.returncode == 0, err
+    assert out.split() == ["same", "rows"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="lists processes from /proc")
+@pytest.mark.parametrize("method", START_METHODS)
+def test_count_pretokens_workers_exit_when_the_caller_is_killed(tmp_path, method):
+    proc = _run_grid_script(tmp_path, method, 20, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    workers, running, left = _kill_once_two_workers_run(proc)
     assert len(workers) == 2, "the grid never started its two training workers"
+    assert running, "the grid script ended before it was killed"
+    assert left == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="lists processes from /proc")
+def test_compare_grid_workers_exit_when_the_caller_is_killed(tmp_path):
+    proc = _run_grid_script(tmp_path, "default", 20, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    workers, running, left = _kill_once_two_workers_run(proc)
+    assert len(workers) == 2, "the grid never started its two training workers"
+    assert running, "the grid script ended before it was killed"
     assert left == []
 
 

@@ -32,7 +32,6 @@ from artok.subword import (
     merge_output,
     truncate_model,
     word_symbols,
-    worker_pool,
 )
 from artok.trainers import _check_pretokens, train_from_pretokens
 
@@ -65,15 +64,6 @@ def test_count_morph_segments():
 
 def test_count_empty_corpus():
     assert count_pretokens([], "bpe", NormalizerConfig()) == Counter()
-
-
-def test_count_parallel_matches_sequential():
-    texts = [f"كتاب جديد رقم {i} يتحدثها" for i in range(50)]
-    seq = count_pretokens(docs(*texts), "bpe_morph", NormalizerConfig(), CliticTable())
-    with worker_pool(3) as pool:
-        par = count_pretokens(docs(*texts), "bpe_morph", NormalizerConfig(), CliticTable(),
-                              pool=pool)
-    assert seq == par
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +618,8 @@ def _load_with_merges(tmp_path, model, merges):
 
 @pytest.mark.parametrize("later_bad_merge", [False, True])
 @pytest.mark.parametrize("flaw", ["left missing", "right missing", "right not continued",
-                                  "output missing", "non-string side"])
+                                  "output missing", "non-string side",
+                                  "three sides", "one side", "a string"])
 def test_load_names_the_first_bad_merge(tmp_path, trained_models, flaw, later_bad_merge):
     model = trained_models[0]
     ids = model.token_ids
@@ -641,19 +632,27 @@ def test_load_names_the_first_bad_merge(tmp_path, trained_models, flaw, later_ba
         "right not continued": ((left, left), "malformed merge, right side is no continuation"),
         "output missing": ((left, right), "merge output missing from vocab"),
         "non-string side": ((5, right), "malformed merge, sides must be strings"),
+        # sound but for its length: the first two sides are a merge of the model
+        "three sides": (model.merges[0] + ("zz",), "malformed merge, not a pair"),
+        "one side": ((left,), "malformed merge, not a pair"),
+        "a string": ("".join(model.merges[0]), "malformed merge, not a pair"),
     }[flaw]
     merges = list(model.merges)
     merges.insert(len(merges) // 2, bad)
     if later_bad_merge:
         merges.append(("q", "##q"))  # the message must not name it
     # Loading the bundle and the first encode of the same in-memory model
-    # both fail in merge_ids, with the same message.
+    # both fail in merge_ids, with the same message. A bundle's merge that
+    # is not a pair fails earlier, in _merge_pairs
+    # (test_load_rejects_malformed_merges), so those flaws are in-memory only.
     in_memory = replace(model, merges=merges)
-    for first_use in (lambda: _load_with_merges(tmp_path, model, [list(m) for m in merges]),
-                      lambda: in_memory.encode_word):
+    first_uses = [lambda: in_memory.encode_word]
+    if message != "malformed merge, not a pair":
+        first_uses.append(lambda: _load_with_merges(tmp_path, model, [list(m) for m in merges]))
+    for first_use in first_uses:
         with pytest.raises(ModelFormatError) as err:
             first_use()
-        assert str(err.value) == f"{message}: {bad}"
+        assert str(err.value) == f"{message}: {bad!r}"
 
 
 def test_load_rejects_wordlevel_merges(tmp_path, trained_models):
