@@ -223,7 +223,8 @@ def _wordpiece_pieces(word: str, vocab: dict) -> list[str]:
             cand = word[start:end]
             if start > 0:
                 cand = CONT_PREFIX + cand
-            if cand in vocab:
+            # A word never starts with a continuation entry.
+            if cand in vocab and (start or not cand.startswith(CONT_PREFIX)):
                 piece = cand
                 break
             end -= 1

@@ -5,7 +5,9 @@ are kept as symbol-id sequences, adjacent-pair counts are updated in
 place as merges execute, and only pair selection differs (raw frequency
 vs count/(left*right) likelihood score). The merge loop is sequential by
 construction; determinism comes from exact counts plus total tie orders,
-never from iteration order of hash maps.
+never from iteration order of hash maps. Only WordPiece selection
+needs numpy, and it imports numpy itself, so loading, encoding, decoding
+and training the other kinds never load it.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import heapq
 import logging
 from collections import Counter
 from typing import Iterable, Mapping
-
-import numpy as np
 
 from .morphseg import CliticTable
 from .normalize import NormalizerConfig
@@ -97,9 +97,7 @@ class _MergeEngine:
         # The vocabulary budget caps the symbol count, and so does the
         # corpus: every merge shortens at least one word by one symbol.
         positions = sum(len(w) - 1 for w in self.words)
-        self.occ = np.zeros(
-            len(SPECIALS) + min(max_alphabet, len(self.alphabet) + positions), dtype=np.int64
-        )
+        self.occ = [0] * (len(SPECIALS) + min(max_alphabet, len(self.alphabet) + positions))
         for sym, cnt in ranked:
             self.occ[sym_ids[sym]] = cnt
 
@@ -217,9 +215,12 @@ class _WordPieceSelector:
     """Maximizes count(ab) / (count(a) * count(b)) over current symbol
     occurrence counts; ties by higher raw count, then lexicographically
     greatest pair. Scores shift whenever unigram counts move, so each
-    round re-scores all live candidates vectorized."""
+    round re-scores all live candidates vectorized. The engine's `occ`
+    list becomes an int64 array here, which its merges update in place."""
 
     def __init__(self, engine: _MergeEngine, min_freq: int):
+        import numpy as np
+        engine.occ = np.array(engine.occ, dtype=np.int64)
         self.engine = engine
         self.min_freq = min_freq
         self.slot_of: dict[tuple[int, int], int] = {}
@@ -234,6 +235,7 @@ class _WordPieceSelector:
                 self._register(key, cnt)
 
     def _register(self, key: tuple[int, int], cnt: int) -> None:
+        import numpy as np
         if self.n == len(self.cnt):
             for name in ("left", "right", "cnt", "alive"):
                 arr = getattr(self, name)
@@ -264,6 +266,7 @@ class _WordPieceSelector:
             self.alive[slot] = False
 
     def best(self) -> tuple[int, int] | None:
+        import numpy as np
         n = self.n
         if n == 0:
             return None

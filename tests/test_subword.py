@@ -1,11 +1,15 @@
 import gc
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import weakref
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -289,6 +293,23 @@ def test_encode_wordpiece_unmatchable_word_is_single_unk():
     assert encode(model, "ي" * 101).tokens == ["[UNK]"]
 
 
+def test_encode_wordpiece_word_start_never_matches_a_continuation():
+    # A whole word "##ب" used to match the continuation entry "##ب":
+    # "كتب ##ب" got the ids of "كتبب", and "##ب" decoded to "ب".
+    vocab = list(SPECIALS) + ["ك", "##ت", "##ب", "كتب"]
+    model = TokenizerModel(kind="wordpiece", vocab=vocab, merges=[],
+                           normalizer=NormalizerConfig())
+    assert encode(model, "كتبب").tokens == ["كتب", "##ب"]
+    assert encode(model, "كتب ##ب").tokens == ["كتب", "[UNK]"]
+    assert encode(model, "##ب").tokens == ["[UNK]"]
+    assert decode(model, encode(model, "##ب").ids) == "[UNK]"
+    # With "#" and its continuation in the vocab, the word spells out.
+    model = TokenizerModel(kind="wordpiece", vocab=vocab + ["#", "###"], merges=[],
+                           normalizer=NormalizerConfig())
+    assert encode(model, "كتب ##ب").tokens == ["كتب", "#", "###", "##ب"]
+    assert decode(model, encode(model, "##ب").ids) == "##ب"
+
+
 def test_encode_ids_and_tokens_mutually_consistent():
     model = train_from_pretokens(Counter({"كتاب": 5, "كاتب": 3}), "bpe", 25)
     enc = encode(model, "كتاب كاتب مجهول")
@@ -555,6 +576,49 @@ def test_save_load_roundtrip_all_kinds(tmp_path, trained_models):
         path = tmp_path / f"{model.kind}.json"
         save_model(model, path)
         assert load_model(path) == model
+
+
+SERVE_THEN_TRAIN = """
+import json, sys
+from collections import Counter
+import artok, artok.cli
+from artok import CliticTable, decode, encode, load_model, train_from_pretokens
+bundles, text, pretokens = sys.argv[1], sys.argv[2], Counter(json.loads(sys.argv[3]))
+served = {}
+for kind in artok.ALL_KINDS:
+    model = load_model(f"{bundles}/{kind}.json")
+    ids = encode(model, text).ids
+    served[kind] = [ids, decode(model, ids)]
+for kind in ("bpe", "bpe_morph", "wordlevel"):
+    train_from_pretokens(pretokens, kind, 60, clitic_table=CliticTable())
+serving_loaded_numpy = "numpy" in sys.modules
+merges = train_from_pretokens(pretokens, "wordpiece", 60).merges
+print(json.dumps([served, serving_loaded_numpy, "numpy" in sys.modules, merges]))
+"""
+
+
+def test_serving_and_training_other_kinds_never_import_numpy(tmp_path, trained_models):
+    # Only WordPiece selection needs numpy; a fresh interpreter that
+    # loads, encodes and decodes every kind and trains the others never
+    # imports it.
+    text = "والكتاب يتحدثها كتاب مجهول"
+    pretokens = count_pretokens(docs("والكتاب يتحدثها كثيرا", "كتاب جديد عن المدينة"),
+                                "bpe", NormalizerConfig())
+    for model in trained_models:
+        save_model(model, tmp_path / f"{model.kind}.json")
+    src = str(Path(subword.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SERVE_THEN_TRAIN, str(tmp_path), text, json.dumps(pretokens)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    served, serving_loaded_numpy, training_loaded_numpy, merges = json.loads(proc.stdout)
+    assert served == {m.kind: [encode(m, text).ids, decode(m, encode(m, text).ids)]
+                      for m in trained_models}
+    assert not serving_loaded_numpy
+    assert training_loaded_numpy
+    expected = train_from_pretokens(pretokens, "wordpiece", 60).merges
+    assert expected and merges == [list(m) for m in expected]
 
 
 def test_save_is_byte_identical(tmp_path, trained_models):
