@@ -18,7 +18,7 @@ from .eval import (
     roundtrip_audit,
     train_model,
 )
-from .morphseg import CliticTable, Segmentation, desegment_text, segment_text, segment_word
+from .morphseg import CliticTable, Segmentation, desegment_text, segment_word
 from .normalize import NormalizerConfig, normalize
 from .subword import (
     ALL_KINDS,

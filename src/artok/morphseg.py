@@ -175,22 +175,9 @@ def _segmentable(word: str) -> bool:
     return "+" not in word and ARABIC_CHAR.search(word) is not None
 
 
-def segment_text(text: str, table: CliticTable | None = None) -> str:
-    """Segment every Arabic word of normalized text, joining segments
-    with single spaces; non-Arabic tokens pass through untouched."""
-    table = table or CliticTable()
-    out: list[str] = []
-    for word in text.split():
-        if _segmentable(word):
-            out.extend(segment_word(word, table).segments)
-        else:
-            out.append(word)
-    return " ".join(out)
-
-
 def desegment_text(segmented: str) -> str:
-    """Invert segment_text: glue "X+" to the next token and "+X" to the
-    previous one, stripping markers.
+    """Invert clitic segmentation of space-joined segments: glue "X+" to
+    the next token and "+X" to the previous one, stripping markers.
 
     A dangling marker (enclitic with nothing before it, proclitic with
     nothing after) is reported and stripped best-effort.

@@ -1,7 +1,8 @@
 """Vocabulary trainers for the four tokenizer kinds.
 
-BPE and WordPiece share one incremental merge engine: distinct pre-tokens
-are kept as symbol-id sequences, adjacent-pair counts are updated in
+BPE and WordPiece share one incremental merge engine: each distinct
+pre-token is kept as a string of one character per symbol id, a merge
+rewrites it with one str.replace, adjacent-pair counts are updated in
 place as merges execute, and only pair selection differs (raw frequency
 vs count/(left*right) likelihood score). The merge loop is sequential by
 construction; determinism comes from exact counts plus total tie orders,
@@ -14,7 +15,9 @@ from __future__ import annotations
 
 import heapq
 import logging
+import sys
 from collections import Counter
+from operator import add
 from typing import Iterable, Mapping
 
 from .morphseg import CliticTable
@@ -48,10 +51,12 @@ class _MergeEngine:
     """Mutable corpus state for the merge loop.
 
     Symbol ids are aligned with final vocabulary ids (specials first,
-    then the initial alphabet, then one id per merge), and a pair is the
-    tuple (left_id, right_id). Symbols whose alphabet slot was truncated
-    away map to the [UNK] id; a truncated alphabet fills the whole
-    vocabulary budget, so such a corpus gets no merges.
+    then the initial alphabet, then one id per merge). Each distinct
+    pre-token is held as a string with one character, chr(id), per
+    symbol, and a pair key is the two-character string of its ids, so a
+    merge rewrites a word with one str.replace. Symbols whose alphabet
+    slot was truncated away map to the [UNK] id; a truncated alphabet
+    fills the whole vocabulary budget, so such a corpus gets no merges.
     """
 
     def __init__(self, pretokens: Mapping[str, int], max_alphabet: int):
@@ -73,78 +78,65 @@ class _MergeEngine:
                 len(ranked), max_alphabet, SPECIALS[UNK_ID],
             )
             ranked = ranked[:max_alphabet]
-        self.alphabet = [sym for sym, _ in ranked]
+        alphabet = [sym for sym, _ in ranked]
 
-        self.sym_strs: list[str] = list(SPECIALS) + self.alphabet
-        sym_ids = {s: i for i, s in enumerate(self.sym_strs)}
-        self.words: list[list[int]] = []
-        self.word_counts: list[int] = []
-        self.pair_cnt: dict[tuple[int, int], int] = {}
-        self.pair_words: dict[tuple[int, int], set[int]] = {}
+        self.sym_strs: list[str] = list(SPECIALS) + alphabet
+        sym_chrs = {s: chr(i) for i, s in enumerate(self.sym_strs)}
+        unk = chr(UNK_ID)
+        self.words = ["".join([sym_chrs.get(s, unk) for s in strs]) for strs in symbols]
+        self.word_counts = [cnt for _, cnt in items]
+        self.pair_cnt: dict[str, int] = {}
+        self.pair_words: dict[str, set[int]] = {}
         pair_cnt = self.pair_cnt
         pair_words = self.pair_words
-        for widx, (strs, (_, cnt)) in enumerate(zip(symbols, items)):
-            syms = [sym_ids.get(s, UNK_ID) for s in strs]
-            self.words.append(syms)
-            self.word_counts.append(cnt)
-            for pair in zip(syms, syms[1:]):
-                pair_cnt[pair] = pair_cnt.get(pair, 0) + cnt
+        for widx, (w, cnt) in enumerate(zip(self.words, self.word_counts)):
+            for key in map(add, w, w[1:]):
+                pair_cnt[key] = pair_cnt.get(key, 0) + cnt
                 try:
-                    pair_words[pair].add(widx)
+                    pair_words[key].add(widx)
                 except KeyError:
-                    pair_words[pair] = {widx}
+                    pair_words[key] = {widx}
 
         # The vocabulary budget caps the symbol count, and so does the
         # corpus: every merge shortens at least one word by one symbol.
         positions = sum(len(w) - 1 for w in self.words)
-        self.occ = [0] * (len(SPECIALS) + min(max_alphabet, len(self.alphabet) + positions))
-        for sym, cnt in ranked:
-            self.occ[sym_ids[sym]] = cnt
+        self.occ = [0] * (len(SPECIALS) + min(max_alphabet, len(alphabet) + positions))
+        for sym_id, (_, cnt) in enumerate(ranked, len(SPECIALS)):
+            self.occ[sym_id] = cnt
 
-    def pair_strs(self, pair: tuple[int, int]) -> tuple[str, str]:
-        return self.sym_strs[pair[0]], self.sym_strs[pair[1]]
+    def pair_strs(self, key: str) -> tuple[str, str]:
+        return self.sym_strs[ord(key[0])], self.sym_strs[ord(key[1])]
 
-    def register_symbol(self, token: str) -> int:
+    def apply_merge(self, key: str, token: str) -> set[str]:
+        """Give token the next symbol id and rewrite every word containing
+        the pair key; returns all pairs whose corpus count changed."""
+        new = chr(len(self.sym_strs))
         self.sym_strs.append(token)
-        return len(self.sym_strs) - 1
-
-    def apply_merge(self, a: int, b: int, new_id: int) -> set[tuple[int, int]]:
-        """Rewrite every word containing the pair (a, b) in one pass each;
-        returns all pairs whose corpus count changed."""
-        delta: dict[tuple[int, int], int] = {}
+        delta: dict[str, int] = {}
         words = self.words
         word_counts = self.word_counts
         pair_words = self.pair_words
         merged_occ = 0
-        for widx in pair_words.pop((a, b), ()):
+        for widx in pair_words.pop(key, ()):
             w = words[widx]
-            n = len(w)
-            new_w: list[int] = []
-            i = 0
-            while i < n:
-                if w[i] == a and i + 1 < n and w[i + 1] == b:
-                    new_w.append(new_id)
-                    i += 2
-                else:
-                    new_w.append(w[i])
-                    i += 1
-            if len(new_w) == n:  # stale registration from an earlier rewrite
+            new_w = w.replace(key, new)
+            if len(new_w) == len(w):  # stale registration from an earlier rewrite
                 continue
             words[widx] = new_w
             cnt = word_counts[widx]
-            merged_occ += (n - len(new_w)) * cnt
-            for pair in zip(w, w[1:]):
+            merged_occ += (len(w) - len(new_w)) * cnt
+            for pair in map(add, w, w[1:]):
                 delta[pair] = delta.get(pair, 0) - cnt
-            for pair in zip(new_w, new_w[1:]):
+            for pair in map(add, new_w, new_w[1:]):
                 delta[pair] = delta.get(pair, 0) + cnt
                 try:
                     pair_words[pair].add(widx)
                 except KeyError:
                     pair_words[pair] = {widx}
-        self.occ[a] -= merged_occ
-        self.occ[b] -= merged_occ
-        self.occ[new_id] += merged_occ
-        changed: set[tuple[int, int]] = set()
+        self.occ[ord(key[0])] -= merged_occ
+        self.occ[ord(key[1])] -= merged_occ
+        self.occ[ord(new)] += merged_occ
+        changed: set[str] = set()
         pair_cnt = self.pair_cnt
         for pair, d in delta.items():
             if not d:
@@ -178,13 +170,13 @@ class _BpeSelector:
     def __init__(self, engine: _MergeEngine, min_freq: int):
         self.engine = engine
         self.min_freq = min_freq
-        self.dead: set[tuple[int, int]] = set()
+        self.dead: set[str] = set()
         self.heap: list = []
         for key, cnt in engine.pair_cnt.items():
             if cnt >= min_freq:
                 heapq.heappush(self.heap, (-cnt, _RevLex(engine.pair_strs(key)), key))
 
-    def notify(self, changed: Iterable[tuple[int, int]]) -> None:
+    def notify(self, changed: Iterable[str]) -> None:
         engine = self.engine
         pair_cnt = engine.pair_cnt
         heap = self.heap
@@ -195,10 +187,10 @@ class _BpeSelector:
             if cnt >= min_freq and key not in dead:
                 heapq.heappush(heap, (-cnt, _RevLex(engine.pair_strs(key)), key))
 
-    def kill(self, key: tuple[int, int]) -> None:
+    def kill(self, key: str) -> None:
         self.dead.add(key)
 
-    def best(self) -> tuple[int, int] | None:
+    def best(self) -> str | None:
         pair_cnt = self.engine.pair_cnt
         heap = self.heap
         while heap:
@@ -223,7 +215,7 @@ class _WordPieceSelector:
         engine.occ = np.array(engine.occ, dtype=np.int64)
         self.engine = engine
         self.min_freq = min_freq
-        self.slot_of: dict[tuple[int, int], int] = {}
+        self.slot_of: dict[str, int] = {}
         cap = max(1024, 2 * len(engine.pair_cnt))
         self.left = np.zeros(cap, dtype=np.int64)
         self.right = np.zeros(cap, dtype=np.int64)
@@ -234,7 +226,7 @@ class _WordPieceSelector:
             if cnt >= min_freq:
                 self._register(key, cnt)
 
-    def _register(self, key: tuple[int, int], cnt: int) -> None:
+    def _register(self, key: str, cnt: int) -> None:
         import numpy as np
         if self.n == len(self.cnt):
             for name in ("left", "right", "cnt", "alive"):
@@ -245,11 +237,11 @@ class _WordPieceSelector:
         slot = self.n
         self.n += 1
         self.slot_of[key] = slot
-        self.left[slot], self.right[slot] = key
+        self.left[slot], self.right[slot] = map(ord, key)
         self.cnt[slot] = cnt
         self.alive[slot] = True
 
-    def notify(self, changed: Iterable[tuple[int, int]]) -> None:
+    def notify(self, changed: Iterable[str]) -> None:
         pair_cnt = self.engine.pair_cnt
         for key in changed:
             cnt = pair_cnt.get(key, 0)
@@ -260,12 +252,12 @@ class _WordPieceSelector:
             else:
                 self.cnt[slot] = cnt
 
-    def kill(self, key: tuple[int, int]) -> None:
+    def kill(self, key: str) -> None:
         slot = self.slot_of.get(key)
         if slot is not None:
             self.alive[slot] = False
 
-    def best(self) -> tuple[int, int] | None:
+    def best(self) -> str | None:
         import numpy as np
         n = self.n
         if n == 0:
@@ -283,7 +275,7 @@ class _WordPieceSelector:
         best_key = None
         best_rank: tuple[int, tuple[str, str]] | None = None
         for slot in ties:
-            key = (int(left[slot]), int(right[slot]))
+            key = chr(left[slot]) + chr(right[slot])
             rank = (int(cnt[slot]), self.engine.pair_strs(key))
             if best_rank is None or rank > best_rank:
                 best_rank = rank
@@ -305,18 +297,17 @@ def _run_merge_loop(engine: _MergeEngine, selector, vocab_size: int):
                 "(target %d)", MIN_PAIR_FREQ, len(vocab), vocab_size,
             )
             break
-        a, b = key
-        token = merge_output(vocab[a], vocab[b])
+        pair = engine.pair_strs(key)
+        token = merge_output(*pair)
         if token in vocab_set:
             # Merging would alias an existing token string; skipping keeps
             # vocab entries 1:1 with merges and makes encode-time merge
             # replay reproduce training exactly.
             selector.kill(key)
             continue
-        merges.append((vocab[a], vocab[b]))
-        new_id = engine.register_symbol(token)
+        merges.append(pair)
         vocab_set.add(token)
-        selector.notify(engine.apply_merge(a, b, new_id))
+        selector.notify(engine.apply_merge(key, token))
     return vocab, merges
 
 
@@ -337,6 +328,9 @@ def train_from_pretokens(
         raise ValueError(f"unknown tokenizer kind: {kind!r}")
     if vocab_size == len(SPECIALS):
         raise ValueError("vocab_size leaves no room for the alphabet")
+    if vocab_size > sys.maxunicode + 1:
+        # the merge engine spells each symbol id as one code point
+        raise ValueError(f"vocab_size must be at most {sys.maxunicode + 1} for kind {kind!r}")
     engine = _MergeEngine(pretokens, max_alphabet=vocab_size - len(SPECIALS))
     if kind == KIND_WORDPIECE:
         selector = _WordPieceSelector(engine, MIN_PAIR_FREQ)

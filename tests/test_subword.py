@@ -66,6 +66,13 @@ def test_count_morph_segments():
     assert counts == {"يتحدث": 1, "+ها": 1}
 
 
+def test_count_morph_passes_non_arabic_words_through():
+    corpus = docs("news 2024 يتحدثها كثيرا", "[URL] والكتاب", "")
+    counts = count_pretokens(corpus, "bpe_morph", NormalizerConfig(), CliticTable())
+    assert counts == {"news": 1, "2024": 1, "يتحدث": 1, "+ها": 1, "كثيرا": 1,
+                      "[URL]": 1, "و+": 1, "ال+": 1, "كتاب": 1}
+
+
 def test_count_empty_corpus():
     assert count_pretokens([], "bpe", NormalizerConfig()) == Counter()
 
@@ -209,6 +216,40 @@ def test_morph_empty_clitic_table_reduces_to_plain_bpe():
     assert encode(morph, text).tokens == encode(plain, text).tokens
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_vocab_size_is_bounded_by_the_code_point_range(kind):
+    # the merge engine spells each symbol id as one code point
+    limit = sys.maxunicode + 1
+    pretokens = Counter({"abab": 3, "ab": 2})
+    table = CliticTable()
+    if kind == "wordlevel":
+        model = train_from_pretokens(pretokens, kind, limit + 1, clitic_table=table)
+        assert model.vocab == list(SPECIALS) + ["abab", "ab"]
+        return
+    with pytest.raises(ValueError, match=f"at most {limit}"):
+        train_from_pretokens(pretokens, kind, limit + 1, clitic_table=table)
+    assert train_from_pretokens(pretokens, kind, limit, clitic_table=table).merges
+
+
+def test_merge_ids_in_the_surrogate_block(tmp_path):
+    # 55,296 one-character pre-tokens plus "a" and "##b" fill ids up to
+    # 0xD806, so the one merge gets id 0xD807, a surrogate code point.
+    singles = [chr(cp) for cp in range(0x10000, 0x10000 + 55296)]
+    pretokens = Counter(dict.fromkeys(singles, 1)) + Counter({"ab": 2})
+    base = len(SPECIALS) + len(singles) + 2
+    assert base == 0xD807
+    model = train_from_pretokens(pretokens, "bpe", base + 1)
+    assert model.merges == [("a", "##b")]
+    assert model.vocab[0xD807] == merge_output("a", "##b")
+    path = tmp_path / "surrogate.json"
+    save_model(model, path)
+    for m in (model, load_model(path)):
+        enc = encode(m, "ab " + singles[-1])
+        assert enc.ids == [0xD807, base - 1]
+        assert decode(m, enc.ids) == "ab " + singles[-1]
+        assert m.merges == model.merges and m.vocab == model.vocab
+
+
 def test_morph_marker_symbol_reaches_vocab():
     model = train_model(docs(*["والكتاب"] * 3), "bpe_morph", 40)
     assert any("+" in tok for tok in model.vocab[len(SPECIALS):])
@@ -229,6 +270,8 @@ def test_morph_marker_symbol_reaches_vocab():
     extra=st.integers(min_value=0, max_value=60),
 )
 @example(words={"aaaa": 2, "a": 1, "ab": 2}, extra=10)  # odd run of the self-pair (##a, ##a)
+# raw characters equal to low symbol ids, and an astral one
+@example(words={"\x01\x05": 3, "\x05\x01\x05": 2, "a\U0001F600\x01": 2}, extra=10)
 def test_bpe_merge_list_matches_oracle(words, extra):
     base = len(SPECIALS) + len({s for w in words for s in word_symbols(w)})
     model = train_from_pretokens(words, "bpe", base + extra)
@@ -248,6 +291,8 @@ def test_bpe_merge_list_matches_oracle(words, extra):
     extra=st.integers(min_value=0, max_value=40),
 )
 @example(words={"aaaa": 2, "a": 1, "ab": 2}, extra=10)  # odd run of the self-pair (##a, ##a)
+# raw characters equal to low symbol ids, and an astral one
+@example(words={"\x01\x05": 3, "\x05\x01\x05": 2, "a\U0001F600\x01": 2}, extra=10)
 def test_wordpiece_merge_list_matches_oracle(words, extra):
     base = len(SPECIALS) + len({s for w in words for s in word_symbols(w)})
     model = train_from_pretokens(words, "wordpiece", base + extra)
