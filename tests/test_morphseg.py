@@ -14,6 +14,7 @@ from artok.morphseg import (
     segment_word,
 )
 from artok.normalize import normalize
+from artok.subword import _segments
 
 from oracles import oracle_desegment, oracle_segment_word
 
@@ -48,6 +49,20 @@ def test_segment_word_rejects_bad_input():
         segment_word("")
     with pytest.raises(ValueError):
         segment_word("كتاب جديد")
+
+
+def _segment_text(text):
+    return " ".join(seg for word in text.split() for seg in _segments(word, CliticTable()))
+
+
+def test_segment_text():
+    assert _segment_text("يتحدثها كثيرا") == "يتحدث +ها كثيرا"
+    assert _segment_text("") == ""
+    assert _segment_text("[URL]") == "[URL]"
+
+
+def test_segment_text_passes_non_arabic_through():
+    assert _segment_text("news 2024 والكتاب") == "news 2024 و+ ال+ كتاب"
 
 
 def test_desegment_text():
@@ -153,9 +168,7 @@ def test_marker_well_formedness_and_single_stem(word):
 @given(text=ARABIC_TEXTS)
 def test_segment_desegment_roundtrip(text):
     text = normalize(text)
-    segmented = [seg for word in text.split()
-                 for seg in (segment_word(word).segments if _segmentable(word) else [word])]
-    assert desegment_text(" ".join(segmented)) == text
+    assert desegment_text(_segment_text(text)) == text
 
 
 @settings(max_examples=100, deadline=None)
