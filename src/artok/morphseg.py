@@ -18,7 +18,6 @@ import json
 import logging
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 from .corpus import ARABIC_CHAR
@@ -61,24 +60,35 @@ class Segmentation:
     word: str
     segments: list[str]
 
-    @property
-    def stem(self) -> str:
-        for seg in self.segments:
-            if not seg.startswith("+") and not seg.endswith("+"):
-                return seg
-        raise ValueError(f"segmentation of {self.word!r} has no bare stem")
 
-
-@dataclass
+@dataclass(frozen=True)
 class CliticTable:
+    """An immutable clitic table: (form, may_stack) proclitics and enclitic
+    forms, in stripping priority order. `index`, built once, buckets the
+    forms by the character a match must start (proclitics) or end
+    (enclitics) with, in table order: first char -> [(form, may_stack,
+    marked parts)] and last char -> [(form, marked form)]. It is no
+    dataclass field, so equality and `to_dict` see only the forms;
+    `dataclasses.replace` derives a new table with its own index."""
+
     proclitics: tuple[tuple[str, bool], ...] = DEFAULT_PROCLITICS
     enclitics: tuple[str, ...] = DEFAULT_ENCLITICS
 
     def __post_init__(self):
-        self.proclitics = tuple((str(f), bool(s)) for f, s in self.proclitics)
-        self.enclitics = tuple(str(f) for f in self.enclitics)
-        if any(not f for f, _ in self.proclitics) or any(not f for f in self.enclitics):
+        proclitics = tuple((str(f), bool(s)) for f, s in self.proclitics)
+        enclitics = tuple(str(f) for f in self.enclitics)
+        if any(not f for f, _ in proclitics) or any(not f for f in enclitics):
             raise ValueError("clitic forms must be non-empty")
+        pro: dict[str, list] = {}
+        for form, may_stack in proclitics:
+            pro.setdefault(form[0], []).append(
+                (form, may_stack, tuple(f"{p}+" for p in _proclitic_parts(form))))
+        enc: dict[str, list] = {}
+        for form in enclitics:
+            enc.setdefault(form[-1], []).append((form, f"+{form}"))
+        object.__setattr__(self, "proclitics", proclitics)
+        object.__setattr__(self, "enclitics", enclitics)
+        object.__setattr__(self, "index", (pro, enc))
 
     def to_dict(self) -> dict:
         return {
@@ -117,20 +127,7 @@ def _proclitic_parts(form: str) -> tuple[str, ...]:
     return (form,)
 
 
-@lru_cache(maxsize=32)
-def _clitic_index(proclitics: tuple, enclitics: tuple) -> tuple[dict, dict]:
-    """A clitic table's forms bucketed by the character a match must
-    start (proclitics) or end (enclitics) with, in table order within a
-    bucket: first char -> [(form, may_stack, marked parts)] and last
-    char -> [(form, marked form)]."""
-    pro: dict[str, list] = {}
-    for form, may_stack in proclitics:
-        parts = tuple(f"{p}+" for p in _proclitic_parts(form))
-        pro.setdefault(form[0], []).append((form, may_stack, parts))
-    enc: dict[str, list] = {}
-    for form in enclitics:
-        enc.setdefault(form[-1], []).append((form, f"+{form}"))
-    return pro, enc
+_DEFAULT_TABLE = CliticTable()
 
 
 def segment_word(word: str, table: CliticTable | None = None) -> Segmentation:
@@ -140,12 +137,12 @@ def segment_word(word: str, table: CliticTable | None = None) -> Segmentation:
     segments and one enclitic, never leaving a stem shorter than
     MIN_STEM_LEN. Words matching no rule come back as a single segment.
     Only the forms that share the word's first (or last) character are
-    tried, through an index of the table's current forms.
+    tried, through the table's `index`; without a table, the default
+    table's.
     """
     if word.split() != [word]:
         raise ValueError("word must be non-empty and whitespace-free")
-    table = table or CliticTable()
-    pro, enc = _clitic_index(tuple(table.proclitics), tuple(table.enclitics))
+    pro, enc = (table or _DEFAULT_TABLE).index
 
     prefix: list[str] = []
     rest = word

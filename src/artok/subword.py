@@ -59,8 +59,12 @@ class Encoding:
     word_count: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class TokenizerModel:
+    """A trained tokenizer. Immutable, so the encode-time tables built from
+    its fields on first use never outlive them; `dataclasses.replace`
+    derives a new model (as `truncate_model` does)."""
+
     kind: str
     vocab: list[str]
     merges: list[tuple[str, str]]
@@ -210,29 +214,28 @@ def count_pretokens(
 # Encoding / decoding
 
 
-def _wordpiece_pieces(word: str, vocab: dict) -> list[str]:
+def _wordpiece_pieces(word: str, token_ids: dict) -> list[int]:
+    """A word's longest-match-first piece ids; [UNK_ID] if one is missing."""
     if len(word) > WORDPIECE_MAX_WORD_CHARS:
-        return [UNK_TOKEN]
-    pieces: list[str] = []
+        return [UNK_ID]
+    ids: list[int] = []
     start = 0
     n = len(word)
     while start < n:
         end = n
-        piece = None
         while end > start:
             cand = word[start:end]
             if start > 0:
                 cand = CONT_PREFIX + cand
             # A word never starts with a continuation entry.
-            if cand in vocab and (start or not cand.startswith(CONT_PREFIX)):
-                piece = cand
+            if cand in token_ids and (start or not cand.startswith(CONT_PREFIX)):
                 break
             end -= 1
-        if piece is None:
-            return [UNK_TOKEN]
-        pieces.append(piece)
+        else:
+            return [UNK_ID]
+        ids.append(token_ids[cand])
         start = end
-    return pieces
+    return ids
 
 
 # Entries per word table. A table of up to 21,845 entries keeps its dict
@@ -266,7 +269,7 @@ def _word_encoder(kind: str, token_ids: dict, merge_ids: tuple | None,
     if kind == KIND_WORDPIECE:
         @lru_cache(CACHE_SIZE)
         def wordpiece_ids(word: str) -> tuple[int, ...]:
-            return tuple([token_ids.get(t, UNK_ID) for t in _wordpiece_pieces(word, token_ids)])
+            return tuple(_wordpiece_pieces(word, token_ids))
         return wordpiece_ids
     lefts, rights, outputs = merge_ids
     # A character absent from the vocab gets `unknown`, above every id in

@@ -85,6 +85,7 @@ class _MergeEngine:
         unk = chr(UNK_ID)
         self.words = ["".join([sym_chrs.get(s, unk) for s in strs]) for strs in symbols]
         self.word_counts = [cnt for _, cnt in items]
+        self.retired: set[str] = set()
         self.pair_cnt: dict[str, int] = {}
         self.pair_words: dict[str, set[int]] = {}
         pair_cnt = self.pair_cnt
@@ -106,6 +107,11 @@ class _MergeEngine:
 
     def pair_strs(self, key: str) -> tuple[str, str]:
         return self.sym_strs[ord(key[0])], self.sym_strs[ord(key[1])]
+
+    def retire(self, key: str) -> None:
+        """Drop the pair key for good: no merge counts it again."""
+        self.retired.add(key)
+        del self.pair_cnt[key]
 
     def apply_merge(self, key: str, token: str) -> set[str]:
         """Give token the next symbol id and rewrite every word containing
@@ -138,8 +144,9 @@ class _MergeEngine:
         self.occ[ord(new)] += merged_occ
         changed: set[str] = set()
         pair_cnt = self.pair_cnt
+        retired = self.retired
         for pair, d in delta.items():
-            if not d:
+            if not d or pair in retired:
                 continue
             nc = pair_cnt.get(pair, 0) + d
             if nc:
@@ -170,7 +177,6 @@ class _BpeSelector:
     def __init__(self, engine: _MergeEngine, min_freq: int):
         self.engine = engine
         self.min_freq = min_freq
-        self.dead: set[str] = set()
         self.heap: list = []
         for key, cnt in engine.pair_cnt.items():
             if cnt >= min_freq:
@@ -180,23 +186,17 @@ class _BpeSelector:
         engine = self.engine
         pair_cnt = engine.pair_cnt
         heap = self.heap
-        dead = self.dead
         min_freq = self.min_freq
         for key in changed:
             cnt = pair_cnt.get(key, 0)
-            if cnt >= min_freq and key not in dead:
+            if cnt >= min_freq:
                 heapq.heappush(heap, (-cnt, _RevLex(engine.pair_strs(key)), key))
-
-    def kill(self, key: str) -> None:
-        self.dead.add(key)
 
     def best(self) -> str | None:
         pair_cnt = self.engine.pair_cnt
         heap = self.heap
         while heap:
             neg_cnt, _, key = heapq.heappop(heap)
-            if key in self.dead:
-                continue
             if pair_cnt.get(key, 0) != -neg_cnt:
                 continue  # stale; a fresher entry exists if still eligible
             return key
@@ -207,7 +207,7 @@ class _WordPieceSelector:
     """Maximizes count(ab) / (count(a) * count(b)) over current symbol
     occurrence counts; ties by higher raw count, then lexicographically
     greatest pair. Scores shift whenever unigram counts move, so each
-    round re-scores all live candidates vectorized. The engine's `occ`
+    round re-scores all registered candidates vectorized. The engine's `occ`
     list becomes an int64 array here, which its merges update in place."""
 
     def __init__(self, engine: _MergeEngine, min_freq: int):
@@ -220,7 +220,6 @@ class _WordPieceSelector:
         self.left = np.zeros(cap, dtype=np.int64)
         self.right = np.zeros(cap, dtype=np.int64)
         self.cnt = np.zeros(cap, dtype=np.int64)
-        self.alive = np.zeros(cap, dtype=bool)
         self.n = 0
         for key, cnt in engine.pair_cnt.items():
             if cnt >= min_freq:
@@ -229,7 +228,7 @@ class _WordPieceSelector:
     def _register(self, key: str, cnt: int) -> None:
         import numpy as np
         if self.n == len(self.cnt):
-            for name in ("left", "right", "cnt", "alive"):
+            for name in ("left", "right", "cnt"):
                 arr = getattr(self, name)
                 grown = np.zeros(len(arr) * 2, dtype=arr.dtype)
                 grown[: len(arr)] = arr
@@ -239,7 +238,6 @@ class _WordPieceSelector:
         self.slot_of[key] = slot
         self.left[slot], self.right[slot] = map(ord, key)
         self.cnt[slot] = cnt
-        self.alive[slot] = True
 
     def notify(self, changed: Iterable[str]) -> None:
         pair_cnt = self.engine.pair_cnt
@@ -252,11 +250,6 @@ class _WordPieceSelector:
             else:
                 self.cnt[slot] = cnt
 
-    def kill(self, key: str) -> None:
-        slot = self.slot_of.get(key)
-        if slot is not None:
-            self.alive[slot] = False
-
     def best(self) -> str | None:
         import numpy as np
         n = self.n
@@ -267,7 +260,7 @@ class _WordPieceSelector:
         cnt = self.cnt[:n]
         occ = self.engine.occ
         denom = occ[left] * occ[right]
-        valid = self.alive[:n] & (cnt >= self.min_freq) & (denom > 0)
+        valid = (cnt >= self.min_freq) & (denom > 0)
         if not valid.any():
             return None
         scores = np.where(valid, cnt / np.maximum(denom, 1), -1.0)
@@ -302,8 +295,9 @@ def _run_merge_loop(engine: _MergeEngine, selector, vocab_size: int):
         if token in vocab_set:
             # Merging would alias an existing token string; skipping keeps
             # vocab entries 1:1 with merges and makes encode-time merge
-            # replay reproduce training exactly.
-            selector.kill(key)
+            # replay reproduce training exactly. No selector offers it again.
+            engine.retire(key)
+            selector.notify((key,))
             continue
         merges.append(pair)
         vocab_set.add(token)
@@ -328,6 +322,8 @@ def train_from_pretokens(
         raise ValueError(f"unknown tokenizer kind: {kind!r}")
     if vocab_size == len(SPECIALS):
         raise ValueError("vocab_size leaves no room for the alphabet")
+    if kind == KIND_BPE_MORPH and clitic_table is None:
+        raise ValueError("bpe_morph model requires a clitic table")
     if vocab_size > sys.maxunicode + 1:
         # the merge engine spells each symbol id as one code point
         raise ValueError(f"vocab_size must be at most {sys.maxunicode + 1} for kind {kind!r}")

@@ -8,13 +8,13 @@ import subprocess
 import sys
 import weakref
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from artok import subword
+from artok import subword, trainers
 from artok.corpus import Document
 from artok.eval import evaluate_model, train_model
 from artok.morphseg import CliticTable, _segmentable, segment_word
@@ -216,6 +216,14 @@ def test_morph_empty_clitic_table_reduces_to_plain_bpe():
     assert encode(morph, text).tokens == encode(plain, text).tokens
 
 
+def test_morph_without_a_clitic_table_fails_before_training(monkeypatch):
+    def engine(*args, **kwargs):
+        raise AssertionError("the merge engine was built")
+    monkeypatch.setattr(trainers, "_MergeEngine", engine)
+    with pytest.raises(ValueError, match="bpe_morph model requires a clitic table"):
+        train_from_pretokens(Counter({"كتاب": 3, "يتحدث": 2}), "bpe_morph", 60)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_vocab_size_is_bounded_by_the_code_point_range(kind):
     # the merge engine spells each symbol id as one code point
@@ -278,6 +286,25 @@ def test_bpe_merge_list_matches_oracle(words, extra):
     oracle_vocab, oracle_merges = oracle_bpe(words, base + extra)
     assert model.merges == oracle_merges
     assert model.vocab == oracle_vocab
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    words=st.dictionaries(
+        st.text(alphabet="#ab", min_size=1, max_size=6),
+        st.integers(min_value=1, max_value=9),
+        min_size=1,
+        max_size=20,
+    ),
+    extra=st.integers(min_value=0, max_value=30),
+)
+# "#" + "###a" spells "##a", which is already a token: the loop retires that pair
+@example(words={"##a": 3, "x#": 2}, extra=10)
+def test_alias_skips_match_the_oracles(words, extra):
+    base = len(SPECIALS) + len({s for w in words for s in word_symbols(w)})
+    for kind, oracle in (("bpe", oracle_bpe), ("wordpiece", oracle_wordpiece)):
+        model = train_from_pretokens(words, kind, base + extra)
+        assert model.merges == oracle(words, base + extra)[1], kind
 
 
 @settings(max_examples=40, deadline=None)
@@ -664,6 +691,42 @@ def test_serving_and_training_other_kinds_never_import_numpy(tmp_path, trained_m
     assert training_loaded_numpy
     expected = train_from_pretokens(pretokens, "wordpiece", 60).merges
     assert expected and merges == [list(m) for m in expected]
+
+
+def test_no_field_of_a_model_or_its_clitic_table_can_be_assigned(trained_models):
+    for value in [*trained_models, trained_models[3].clitic_table]:
+        for field in fields(value):
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, field.name, getattr(value, field.name))
+
+
+def test_a_morph_model_encodes_as_its_bundle_after_its_table_is_edited(tmp_path,
+                                                                       trained_models):
+    # Emptying the table of a model that had encoded used to leave the
+    # old segmentation in its word cache, while its bundle segmented by
+    # the empty table.
+    model = trained_models[3]
+    ids = encode(model, "وكتابها").ids
+    with pytest.raises(FrozenInstanceError):
+        model.clitic_table.proclitics = ()
+    with pytest.raises(FrozenInstanceError):
+        model.clitic_table.enclitics = ()
+    save_model(model, tmp_path / "m.json")
+    assert encode(model, "وكتابها").ids == encode(load_model(tmp_path / "m.json"),
+                                                  "وكتابها").ids == ids
+
+
+def test_a_model_encodes_as_its_bundle_after_its_merges_are_rebound(tmp_path,
+                                                                    trained_models):
+    # The same with a bpe model's merge list rebound to [].
+    model = trained_models[0]
+    ids = encode(model, "كتاب").ids
+    with pytest.raises(FrozenInstanceError):
+        model.merges = []
+    save_model(model, tmp_path / "m.json")
+    assert encode(model, "كتاب").ids == encode(load_model(tmp_path / "m.json"),
+                                               "كتاب").ids == ids
+    assert encode(replace(model, merges=[]), "كتاب").ids != ids
 
 
 def test_save_is_byte_identical(tmp_path, trained_models):
