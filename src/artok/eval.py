@@ -153,6 +153,10 @@ def _exit_with_parent(caller: int) -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
+_MAIN_GUARD = ("a script that calls compare_grid with worker processes must make that call "
+               'under an `if __name__ == "__main__":` guard')
+
+
 @contextlib.contextmanager
 def worker_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
     """A pool of `workers` spawned processes for compare_grid's training
@@ -160,7 +164,11 @@ def worker_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
     not started. Each worker ends itself once this process is gone. A
     spawned worker starts by re-running the caller's main script, and if
     one dies there (the script lacks a `__main__` guard) this raises
-    RuntimeError naming the guard."""
+    RuntimeError naming the guard. Such a worker fails here in turn,
+    before it makes a pool whose semaphores would leak if it were ended."""
+    if getattr(multiprocessing.current_process(), "_inheriting", False):
+        # multiprocessing's flag for a spawned process that is starting
+        raise RuntimeError(f"worker_pool called while a worker process starts: {_MAIN_GUARD}")
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
                                initializer=_exit_with_parent, initargs=(os.getpid(),))
     try:
@@ -171,10 +179,7 @@ def worker_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
             for started in [pool.submit(os.getpid) for _ in range(workers)]:
                 started.result()
         except BrokenProcessPool as exc:
-            raise RuntimeError(
-                "worker processes exited while starting: a script that calls compare_grid "
-                "with worker processes must make that call under an "
-                '`if __name__ == "__main__":` guard') from exc
+            raise RuntimeError(f"worker processes exited while starting: {_MAIN_GUARD}") from exc
         yield pool
     finally:
         pool.shutdown(cancel_futures=True)

@@ -98,6 +98,8 @@ class CliticTable:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CliticTable":
+        if not isinstance(d, dict):
+            raise ValueError("clitic table must be a JSON object")
         pro = []
         for entry in d["proclitics"]:
             if isinstance(entry, str):
@@ -111,11 +113,6 @@ class CliticTable:
     def load(cls, path: str | Path) -> "CliticTable":
         with open(path, encoding="utf-8") as f:
             return cls.from_dict(json.load(f))
-
-    def dump(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, ensure_ascii=False, indent=2)
-            f.write("\n")
 
 
 def _proclitic_parts(form: str) -> tuple[str, ...]:

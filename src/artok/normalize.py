@@ -77,6 +77,8 @@ class NormalizerConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormalizerConfig":
+        if not isinstance(d, dict):
+            raise ValueError("normalizer config must be a JSON object")
         unknown = set(d) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise ValueError(f"unknown normalizer fields: {sorted(unknown)}")

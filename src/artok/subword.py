@@ -18,7 +18,7 @@ import os
 import re
 import tempfile
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache
 from itertools import repeat
 from operator import add, itemgetter, mul
@@ -61,13 +61,16 @@ class Encoding:
 
 @dataclass(frozen=True)
 class TokenizerModel:
-    """A trained tokenizer. Immutable, so the encode-time tables built from
-    its fields on first use never outlive them; `dataclasses.replace`
-    derives a new model (as `truncate_model` does)."""
+    """A trained tokenizer. A model that exists is valid and immutable:
+    when it is made (by a trainer, `load_model`, `truncate_model` or
+    `dataclasses.replace`), `vocab` and `merges` become tuples and are
+    checked, the merges by building `merge_ids`, and a failed check
+    raises ModelFormatError. So the encode-time tables built from the
+    fields never outlive them."""
 
     kind: str
-    vocab: list[str]
-    merges: list[tuple[str, str]]
+    vocab: tuple[str, ...]
+    merges: tuple[tuple[str, str], ...]
     normalizer: NormalizerConfig
     clitic_table: CliticTable | None = None
     # The same for every model: bundles record them and load_model checks them.
@@ -79,14 +82,36 @@ class TokenizerModel:
             raise ValueError(f"unknown tokenizer kind: {self.kind!r}")
         if self.kind == KIND_BPE_MORPH and self.clitic_table is None:
             raise ValueError("bpe_morph model requires a clitic table")
+        merges = tuple(self.merges)
+        if not set(map(type, merges)) <= {tuple}:
+            # merge_ids rejects each merge that is still no tuple
+            merges = tuple([tuple(m) if isinstance(m, list) else m for m in merges])
+        object.__setattr__(self, "vocab", tuple(self.vocab))
+        object.__setattr__(self, "merges", merges)
+        if not all(map(isinstance, self.vocab, repeat(str))):
+            raise ModelFormatError("malformed vocabulary, every token must be a string")
+        if self.vocab[:len(SPECIALS)] != SPECIALS:
+            raise ModelFormatError("reserved tokens must occupy ids 0-4")
+        if len(self.token_ids) != len(self.vocab):
+            raise ModelFormatError("vocabulary contains duplicate tokens")
+        if self.kind == KIND_WORDLEVEL and merges:
+            raise ModelFormatError("wordlevel model must not carry merges")
+        if merges:
+            self.merge_ids
+
+    def __getstate__(self):
+        # The fields alone: a copy (a grid worker's model, say) builds its
+        # own encode-time tables when it is used.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def vocab_size(self) -> int:
         return len(self.vocab)
 
-    # Encode-time state, built on first use. Cached properties live in the
-    # instance dict, so they are never serialized, compared or copied by
-    # dataclasses.replace.
+    # Encode-time state: token_ids and merge_ids are built when the model
+    # is made, the rest on first use. Cached properties live in the
+    # instance dict, so they are never saved, pickled, compared or copied
+    # by dataclasses.replace.
 
     @cached_property
     def token_ids(self) -> dict[str, int]:
@@ -95,14 +120,14 @@ class TokenizerModel:
     @cached_property
     def merge_ids(self) -> tuple[list[int], list[int], list[int]]:
         """The merges on ids: (left, right, output) lists in rank order,
-        built at C level once per model. This is the one check of a merge
-        list: a merge that is not a pair, a side that is no string, a side
-        or output absent from the vocab, or a right side that is no
-        continuation raises ModelFormatError naming the first such merge.
-        load_model's validation builds it and the bpe encoders reuse it."""
+        built at C level when the model is made. This is the one check of
+        a merge list: a merge that is not a pair, a side that is no
+        string, a side or output absent from the vocab, or a right side
+        that is no continuation raises ModelFormatError naming the first
+        such merge."""
         token_ids = self.token_ids
         with contextlib.suppress(KeyError, TypeError):
-            if set(map(len, self.merges)) <= {2}:
+            if set(map(type, self.merges)) <= {tuple} and set(map(len, self.merges)) <= {2}:
                 lefts = list(map(_FIRST, self.merges))
                 rights = list(map(_SECOND, self.merges))
                 if all(map(str.startswith, rights, repeat(CONT_PREFIX))):
@@ -111,7 +136,7 @@ class TokenizerModel:
                                   for side in (lefts, rights, outputs)])
         # Some merge fails a check: name the first.
         for merge in self.merges:
-            if not isinstance(merge, (tuple, list)) or len(merge) != 2:
+            if not isinstance(merge, tuple) or len(merge) != 2:
                 raise ModelFormatError(f"malformed merge, not a pair: {merge!r}")
             left, right = merge
             if not (isinstance(left, str) and isinstance(right, str)):
@@ -196,6 +221,8 @@ def count_pretokens(
     process. Pre-tokens are the whitespace words of the normalized text,
     or for bpe_morph their clitic segments; the table is read for
     bpe_morph only."""
+    if kind not in ALL_KINDS:
+        raise ValueError(f"unknown tokenizer kind: {kind!r}")
     if kind == KIND_BPE_MORPH and clitic_table is None:
         raise ValueError("bpe_morph pretokenization requires a clitic table")
     words: Counter = Counter()
@@ -256,8 +283,7 @@ def _word_encoder(kind: str, token_ids: dict, merge_ids: tuple | None,
     caches nothing. The encoders close over the lookup tables, not the
     model, so a dropped model is freed at once.
 
-    bpe replays the merges on ids (`TokenizerModel.merge_ids`, so a model
-    whose merge list is unsound raises ModelFormatError here). A position
+    bpe replays the merges on ids (`TokenizerModel.merge_ids`). A position
     list holds the rank of each adjacent pair; each round takes the
     lowest rank, merges every non-overlapping occurrence of its pair from
     left to right and re-ranks only the pairs beside each merge. A
@@ -275,7 +301,7 @@ def _word_encoder(kind: str, token_ids: dict, merge_ids: tuple | None,
     # A character absent from the vocab gets `unknown`, above every id in
     # it. A pair's key is left * width + right, so no merge has a key with
     # `unknown` on either side.
-    unknown = max(token_ids.values(), default=-1) + 1
+    unknown = len(token_ids)
     width = unknown + 1
     # A later duplicate of a pair takes its rank; its output is the same.
     rank_of = dict(zip(map(add, map(mul, lefts, repeat(width)), rights),
@@ -328,12 +354,13 @@ def _word_encoder(kind: str, token_ids: dict, merge_ids: tuple | None,
 def encode(model: TokenizerModel, text: str) -> Encoding:
     """Normalize, pre-tokenize and tokenize text with a trained model."""
     encode_word = model.encode_word
+    vocab = model.vocab
     words = normalize(text, model.normalizer).split()
     ids: list[int] = []
     for word in words:
         ids += encode_word(word)
-    return Encoding(ids=ids, tokens=list(map(model.vocab.__getitem__, ids)),
-                    word_count=len(words))
+    # not map(vocab.__getitem__, ...): a tuple's is a slot wrapper, slow to call
+    return Encoding(ids=ids, tokens=[vocab[i] for i in ids], word_count=len(words))
 
 
 def decode(model: TokenizerModel, ids: Iterable[int]) -> str:
@@ -364,11 +391,11 @@ def _canonical_payload(model: TokenizerModel) -> dict:
         "format_version": FORMAT_VERSION,
         "kind": model.kind,
         "continuation_prefix": model.continuation_prefix,
-        "specials": list(model.specials),
+        "specials": model.specials,
         "normalizer": model.normalizer.to_dict(),
         "clitic_table": model.clitic_table.to_dict() if model.clitic_table else None,
-        "vocab": list(model.vocab),
-        "merges": [list(m) for m in model.merges],
+        "vocab": model.vocab,
+        "merges": model.merges,
     }
 
 
@@ -423,22 +450,6 @@ def save_model(model: TokenizerModel, path: str | Path) -> None:
     atomic_write_text(path, _dumps(payload) + "\n")
 
 
-def validate_model(model: TokenizerModel) -> None:
-    """Check a model's vocabulary, then its merges by building the merge-id
-    table (`TokenizerModel.merge_ids`); its first encode reuses both
-    tables."""
-    if not all(isinstance(tok, str) for tok in model.vocab):
-        raise ModelFormatError("malformed vocabulary, every token must be a string")
-    if list(model.vocab[:len(SPECIALS)]) != list(SPECIALS):
-        raise ModelFormatError("reserved tokens must occupy ids 0-4")
-    if len(model.token_ids) != len(model.vocab):
-        raise ModelFormatError("vocabulary contains duplicate tokens")
-    if model.kind == KIND_WORDLEVEL and model.merges:
-        raise ModelFormatError("wordlevel model must not carry merges")
-    if model.merges:
-        model.merge_ids
-
-
 def _merge_pairs(pairs: list) -> list[tuple[str, str]]:
     """The bundle's [left, right] merge lists as tuples, each list freed
     as its tuple is made. Holding both doubles the containers a load
@@ -458,6 +469,8 @@ def _merge_pairs(pairs: list) -> list[tuple[str, str]]:
 def load_model(path: str | Path) -> TokenizerModel:
     raw = Path(path).read_bytes()
     data = json.loads(raw.decode("utf-8"))
+    if not isinstance(data, dict):
+        raise ModelFormatError("model bundle must be a JSON object")
     version = data.get("format_version")
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model format version: {version!r}")
@@ -470,9 +483,9 @@ def load_model(path: str | Path) -> TokenizerModel:
             f"and the continuation prefix {CONT_PREFIX!r}"
         )
     try:
-        model = TokenizerModel(
+        return TokenizerModel(
             kind=data["kind"],
-            vocab=list(data["vocab"]),
+            vocab=tuple(data["vocab"]),
             merges=_merge_pairs(data["merges"]),
             normalizer=NormalizerConfig.from_dict(data["normalizer"]),
             clitic_table=(
@@ -480,10 +493,10 @@ def load_model(path: str | Path) -> TokenizerModel:
                 if data.get("clitic_table") else None
             ),
         )
+    except ModelFormatError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model bundle: {exc}") from exc
-    validate_model(model)
-    return model
 
 
 def export_vocab_txt(model: TokenizerModel, path: str | Path) -> None:

@@ -353,5 +353,5 @@ def _train_wordlevel(pretokens, vocab_size, normalizer) -> TokenizerModel:
         if surface not in specials:
             vocab.append(surface)
     return TokenizerModel(
-        kind=KIND_WORDLEVEL, vocab=vocab, merges=[], normalizer=normalizer
+        kind=KIND_WORDLEVEL, vocab=vocab, merges=(), normalizer=normalizer
     )

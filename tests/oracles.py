@@ -88,7 +88,7 @@ def oracle_bpe(pretokens, vocab_size, min_pair_freq=MIN_PAIR_FREQ):
         vocab_set.add(merged)
         for word in state:
             state[word] = _apply(state[word], pair, merged)
-    return vocab, merges
+    return tuple(vocab), tuple(merges)
 
 
 def oracle_wordpiece(pretokens, vocab_size, min_pair_freq=MIN_PAIR_FREQ):
@@ -121,7 +121,7 @@ def oracle_wordpiece(pretokens, vocab_size, min_pair_freq=MIN_PAIR_FREQ):
         vocab_set.add(merged)
         for word in state:
             state[word] = _apply(state[word], pair, merged)
-    return vocab, merges
+    return tuple(vocab), tuple(merges)
 
 
 def oracle_desegment(segmented):

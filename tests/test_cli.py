@@ -280,6 +280,23 @@ def test_missing_input_exits_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("encode", "--model", "{path}", "--text", "كتاب"), "model bundle must be a JSON object"),
+    (("preprocess", "--input", "{corpus}", "--output", "{out}", "--normalizer", "{path}"),
+     "normalizer config must be a JSON object"),
+    (("dump-clitics", "--clitic-table", "{path}"), "clitic table must be a JSON object"),
+], ids=["model", "normalizer", "clitic-table"])
+def test_a_json_file_that_is_no_object_is_a_data_error(tmp_path, corpus_path, capsys, caplog,
+                                                       argv, message):
+    path = tmp_path / "array.json"
+    path.write_text("[]", encoding="utf-8")
+    rc, out, _ = run(capsys, *(arg.format(path=path, corpus=corpus_path,
+                                          out=tmp_path / "clean.jsonl") for arg in argv))
+    assert rc == 2
+    assert out == ""
+    assert message in caplog.text
+
+
 def test_env_var_supplies_model_path(tmp_path, corpus_path, capsys, monkeypatch):
     model_dir = tmp_path / "m"
     run(capsys, "train", "--corpus", str(corpus_path), "--kind", "wordlevel",

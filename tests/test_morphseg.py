@@ -1,4 +1,5 @@
 import itertools
+import json
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -111,7 +112,7 @@ def test_desegment_text_matches_the_token_loop_exhaustively():
 def test_custom_table_roundtrip(tmp_path):
     table = CliticTable(proclitics=(("ال", False),), enclitics=("ها",))
     path = tmp_path / "t.json"
-    table.dump(path)
+    path.write_text(json.dumps(table.to_dict(), ensure_ascii=False), encoding="utf-8")
     assert CliticTable.load(path) == table
     # plain-string proclitics are accepted and default to stacking
     loaded = CliticTable.from_dict({"proclitics": ["و"], "enclitics": []})

@@ -1,7 +1,9 @@
+import functools
 import gc
 import hashlib
 import json
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -66,6 +68,11 @@ def test_count_morph_segments():
     assert counts == {"يتحدث": 1, "+ها": 1}
 
 
+def test_count_pretokens_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="^unknown tokenizer kind: 'nonsense'$"):
+        count_pretokens(docs("كتاب جديد"), "nonsense", NormalizerConfig())
+
+
 def test_count_morph_passes_non_arabic_words_through():
     corpus = docs("news 2024 يتحدثها كثيرا", "[URL] والكتاب", "")
     counts = count_pretokens(corpus, "bpe_morph", NormalizerConfig(), CliticTable())
@@ -90,7 +97,7 @@ def test_bpe_vocab_budget_forces_zero_merges():
     pretokens = Counter({"ab": 3, "ba": 2})
     # alphabet: a, b, ##a, ##b -> 4 symbols
     model = train_from_pretokens(pretokens, "bpe", len(SPECIALS) + 4)
-    assert model.merges == []
+    assert model.merges == ()
     assert set(model.vocab) == set(SPECIALS) | {"a", "b", "##a", "##b"}
 
 
@@ -135,7 +142,7 @@ def test_bpe_alphabet_truncation_maps_rare_symbols_to_unk(kind):
     # alphabet fills the vocabulary, so no merge can touch an [UNK] symbol
     model = train_from_pretokens(pretokens, kind, len(SPECIALS) + 3)
     assert "q" not in model.vocab
-    assert model.merges == []
+    assert model.merges == ()
     enc = encode(model, "q")
     assert enc.tokens == ["[UNK]"]
     assert enc.ids == [UNK_ID]
@@ -155,7 +162,7 @@ def test_wordpiece_prefers_high_score_over_high_count():
 
 def test_wordpiece_single_character_corpus_has_no_merges():
     model = train_from_pretokens(Counter({"a": 10}), "wordpiece", 50)
-    assert model.merges == []
+    assert model.merges == ()
 
 
 def test_wordpiece_deterministic():
@@ -178,19 +185,19 @@ def test_wordpiece_matches_exact_fraction_oracle():
 
 def test_wordlevel_all_words_fit():
     model = train_from_pretokens(Counter({"a": 3, "b": 1}), "wordlevel", 7)
-    assert model.vocab == list(SPECIALS) + ["a", "b"]
+    assert model.vocab == SPECIALS + ("a", "b")
 
 
 def test_wordlevel_tie_break_lexicographic():
     model = train_from_pretokens(Counter({"a": 3, "b": 1, "c": 1}), "wordlevel", 6)
-    assert model.vocab == list(SPECIALS) + ["a"]
+    assert model.vocab == SPECIALS + ("a",)
     model7 = train_from_pretokens(Counter({"a": 3, "b": 1, "c": 1}), "wordlevel", 7)
-    assert model7.vocab == list(SPECIALS) + ["a", "b"]
+    assert model7.vocab == SPECIALS + ("a", "b")
 
 
 def test_wordlevel_empty_pretokens():
     model = train_from_pretokens(Counter(), "wordlevel", 5)
-    assert model.vocab == list(SPECIALS)
+    assert model.vocab == SPECIALS
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +239,7 @@ def test_vocab_size_is_bounded_by_the_code_point_range(kind):
     table = CliticTable()
     if kind == "wordlevel":
         model = train_from_pretokens(pretokens, kind, limit + 1, clitic_table=table)
-        assert model.vocab == list(SPECIALS) + ["abab", "ab"]
+        assert model.vocab == SPECIALS + ("abab", "ab")
         return
     with pytest.raises(ValueError, match=f"at most {limit}"):
         train_from_pretokens(pretokens, kind, limit + 1, clitic_table=table)
@@ -247,7 +254,7 @@ def test_merge_ids_in_the_surrogate_block(tmp_path):
     base = len(SPECIALS) + len(singles) + 2
     assert base == 0xD807
     model = train_from_pretokens(pretokens, "bpe", base + 1)
-    assert model.merges == [("a", "##b")]
+    assert model.merges == (("a", "##b"),)
     assert model.vocab[0xD807] == merge_output("a", "##b")
     path = tmp_path / "surrogate.json"
     save_model(model, path)
@@ -342,7 +349,7 @@ def test_encode_wordlevel_oov_is_unk():
 def test_encode_character_fallback_ratio():
     # every pair is a hapax, so the min-frequency rule blocks all merges
     model = train_from_pretokens(Counter({"كتاب": 1}), "bpe", 30)
-    assert model.merges == []
+    assert model.merges == ()
     enc = encode(model, "كتاب")
     assert enc.tokens == ["ك", "##ت", "##ا", "##ب"]
     assert enc.word_count == 1
@@ -544,25 +551,31 @@ SYMBOLS = st.one_of(SIDES, SIDES.map("##".__add__))
 # first of them forms with the second could.
 @example(kind="bpe", vocab=["ا", "##ا", "##ب", "##با", "##باب"],
          merges=[("##با", "##ب"), ("##ب", "##ا")], repeats=0, words=["ابابا"])
-# With a duplicate entry the vocab's largest id is len(token_ids), here
-# "##ب"'s; "x", absent from the vocab, must not take it and merge.
+# A duplicate vocab entry fails when the model is made.
 @example(kind="bpe", vocab=["ب", "ب", "بب", "##ب"], merges=[("ب", "##ب")], repeats=1,
          words=["بx", "بب"])
 def test_unvalidated_encoders_match_the_string_replay(kind, vocab, merges, repeats, words):
-    # A sound merge list encodes as the string replay does, duplicate
-    # merges and duplicate vocab entries included. An unsound one (a
-    # side or output outside the vocab, a right side without the prefix)
-    # raises, naming its first bad merge.
+    # An in-memory model built from any lists is either made and encodes
+    # as the string replay does, duplicate merges included, or fails when
+    # it is made: a duplicate vocab entry, or an unsound merge list (a
+    # side or output outside the vocab, a right side without the prefix),
+    # which raises naming its first bad merge.
     merges = merges + merges[:repeats]
-    model = TokenizerModel(kind=kind, vocab=list(SPECIALS) + vocab, merges=merges,
-                           normalizer=NormalizerConfig(), clitic_table=CliticTable())
-    bad = next((m for m in merges if not _merge_sound(model.token_ids, *m)), None)
-    for word in words:
-        if bad is None:
+    vocab = list(SPECIALS) + vocab
+    token_ids = {tok: i for i, tok in enumerate(vocab)}
+    bad = next((m for m in merges if not _merge_sound(token_ids, *m)), None)
+    make = functools.partial(TokenizerModel, kind=kind, vocab=vocab, merges=merges,
+                             normalizer=NormalizerConfig(), clitic_table=CliticTable())
+    if len(token_ids) != len(vocab):
+        with pytest.raises(ModelFormatError, match="^vocabulary contains duplicate tokens$"):
+            make()
+    elif bad is not None:
+        with pytest.raises(ModelFormatError, match=re.escape(f": {bad}") + "$"):
+            make()
+    else:
+        model = make()
+        for word in words:
             assert model.encode_word(word) == _oracle_word_ids(model, word), word
-        else:
-            with pytest.raises(ModelFormatError, match=re.escape(f": {bad}") + "$"):
-                model.encode_word(word)
 
 
 def _merge_sound(token_ids, left, right):
@@ -729,6 +742,62 @@ def test_a_model_encodes_as_its_bundle_after_its_merges_are_rebound(tmp_path,
     assert encode(replace(model, merges=[]), "كتاب").ids != ids
 
 
+def test_a_model_encodes_as_its_bundle_after_an_in_place_edit(tmp_path):
+    # vocab and merges used to be lists: merges.clear() left the model
+    # encoding "كتاب" as [11] while its bundle, with no merges, gave
+    # [7, 6, 8, 5].
+    model = train_from_pretokens(Counter({"كتاب": 3, "كتب": 2}), "bpe", 12)
+    ids = encode(model, "كتاب").ids
+    assert ids == [11]
+    for edit in (lambda: model.merges.clear(), lambda: model.vocab.clear(),
+                 lambda: model.merges.append(("ك", "##ت")),
+                 lambda: model.merges[0].__setitem__(0, "ت")):
+        with pytest.raises((AttributeError, TypeError)):
+            edit()
+    save_model(model, tmp_path / "m.json")
+    assert encode(model, "كتاب").ids == encode(load_model(tmp_path / "m.json"),
+                                               "كتاب").ids == ids
+
+
+def test_every_way_of_making_a_model_holds_tuples(tmp_path, trained_models):
+    for model in trained_models:
+        save_model(model, tmp_path / "m.json")
+        made = [
+            model,
+            load_model(tmp_path / "m.json"),
+            truncate_model(model, model.vocab_size - len(model.merges) // 2),
+            replace(model, vocab=list(model.vocab), merges=[list(m) for m in model.merges]),
+        ]
+        for m in made:
+            assert type(m.vocab) is tuple and set(map(type, m.vocab)) == {str}
+            assert type(m.merges) is tuple and set(map(type, m.merges)) <= {tuple}
+        assert bool(model.merges) == (model.kind != "wordlevel")
+        assert made[1] == made[3] == model
+
+
+def test_a_model_pickles_as_its_fields(trained_models):
+    # The encode-time tables stay behind: encode_word, a closure, would
+    # not pickle, and a grid worker's model is not encoded where it is made.
+    text = "والكتاب يتحدثها كتاب"
+    for model in trained_models:
+        ids = encode(model, text).ids
+        copy = pickle.loads(pickle.dumps(model))
+        assert copy == model
+        assert set(vars(copy)) == {f.name for f in fields(model)}
+        assert encode(copy, text).ids == ids
+
+
+def test_an_unsound_merge_list_fails_when_the_model_is_made(tmp_path, trained_models):
+    model = trained_models[0]
+    merges = [*model.merges, ("q", "##q")]
+    with pytest.raises(ModelFormatError) as made:
+        TokenizerModel(kind="bpe", vocab=list(model.vocab), merges=merges,
+                       normalizer=model.normalizer)
+    with pytest.raises(ModelFormatError) as loaded:
+        _load_with_merges(tmp_path, model, [list(m) for m in merges])
+    assert str(made.value) == str(loaded.value) == "merge input missing from vocab: ('q', '##q')"
+
+
 def test_save_is_byte_identical(tmp_path, trained_models):
     model = trained_models[0]
     save_model(model, tmp_path / "a.json")
@@ -813,17 +882,16 @@ def test_load_names_the_first_bad_merge(tmp_path, trained_models, flaw, later_ba
     merges.insert(len(merges) // 2, bad)
     if later_bad_merge:
         merges.append(("q", "##q"))  # the message must not name it
-    # Loading the bundle and the first encode of the same in-memory model
-    # both fail in merge_ids, with the same message. A bundle's merge that
-    # is not a pair fails earlier, in _merge_pairs
-    # (test_load_rejects_malformed_merges), so those flaws are in-memory only.
-    in_memory = replace(model, merges=merges)
-    first_uses = [lambda: in_memory.encode_word]
+    # Loading the bundle and making the same model in memory both fail in
+    # merge_ids, with the same message. A bundle's merge that is not a
+    # pair fails earlier, in _merge_pairs (test_load_rejects_malformed_merges),
+    # so those flaws are in-memory only.
+    makers = [lambda: replace(model, merges=merges)]
     if message != "malformed merge, not a pair":
-        first_uses.append(lambda: _load_with_merges(tmp_path, model, [list(m) for m in merges]))
-    for first_use in first_uses:
+        makers.append(lambda: _load_with_merges(tmp_path, model, [list(m) for m in merges]))
+    for make in makers:
         with pytest.raises(ModelFormatError) as err:
-            first_use()
+            make()
         assert str(err.value) == f"{message}: {bad!r}"
 
 
@@ -924,7 +992,7 @@ def test_vocab_and_merges_text_exports(tmp_path, trained_models):
     export_vocab_txt(model, tmp_path / "vocab.txt")
     export_merges_txt(model, tmp_path / "merges.txt")
     vocab_lines = (tmp_path / "vocab.txt").read_text(encoding="utf-8").splitlines()
-    assert vocab_lines == model.vocab
+    assert vocab_lines == list(model.vocab)
     merge_lines = (tmp_path / "merges.txt").read_text(encoding="utf-8").splitlines()
     assert merge_lines == [f"{a} {b}" for a, b in model.merges]
 
@@ -932,7 +1000,7 @@ def test_vocab_and_merges_text_exports(tmp_path, trained_models):
 def test_empty_merge_list_roundtrips(tmp_path):
     # legitimately merge-free bpe model (tiny corpus) must load back
     model = train_from_pretokens(Counter({"ab": 1}), "bpe", 30)
-    assert model.merges == []
+    assert model.merges == ()
     path = tmp_path / "m.json"
     save_model(model, path)
     assert load_model(path) == model
