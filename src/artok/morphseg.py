@@ -100,6 +100,10 @@ class CliticTable:
     def from_dict(cls, d: dict) -> "CliticTable":
         if not isinstance(d, dict):
             raise ValueError("clitic table must be a JSON object")
+        for field in ("proclitics", "enclitics"):
+            if not isinstance(d[field], list):
+                # a string would load as its single letters
+                raise ValueError(f"clitic table field {field!r} must be a JSON array")
         pro = []
         for entry in d["proclitics"]:
             if isinstance(entry, str):

@@ -187,12 +187,6 @@ _SECOND = itemgetter(1)
 _AFTER_PREFIX = itemgetter(slice(len(CONT_PREFIX), None))
 
 
-def word_symbols(word: str) -> list[str]:
-    """Split a pre-token into its initial symbol alphabet: first character
-    bare, every following character prefixed with the continuation mark."""
-    return [word[0]] + [CONT_PREFIX + ch for ch in word[1:]]
-
-
 def merge_output(left: str, right: str) -> str:
     """Token string produced by merging an adjacent symbol pair. The right
     symbol is always word-internal, so its prefix folds away."""
@@ -455,14 +449,15 @@ def _merge_pairs(pairs: list) -> list[tuple[str, str]]:
     as its tuple is made. Holding both doubles the containers a load
     allocates, and CPython's full garbage collections follow that count:
     in a process whose caches stay bounded, one landed in about every
-    other load of four models (timed on the serve-cold benchmark)."""
+    other load of four models (timed on the serve-cold benchmark). A merge
+    that is no JSON array stays as it is, for the model's check to name."""
     if not isinstance(pairs, list):
         raise TypeError("merges must be a list")
     pairs.reverse()
     merges = []
     while pairs:
-        left, right = pairs.pop()
-        merges.append((left, right))
+        merge = pairs.pop()
+        merges.append(tuple(merge) if isinstance(merge, list) else merge)
     return merges
 
 

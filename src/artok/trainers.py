@@ -2,13 +2,15 @@
 
 BPE and WordPiece share one incremental merge engine: each distinct
 pre-token is kept as a string of one character per symbol id, a merge
-rewrites it with one str.replace, adjacent-pair counts are updated in
-place as merges execute, and only pair selection differs (raw frequency
-vs count/(left*right) likelihood score). The merge loop is sequential by
-construction; determinism comes from exact counts plus total tie orders,
-never from iteration order of hash maps. Only WordPiece selection
-needs numpy, and it imports numpy itself, so loading, encoding, decoding
-and training the other kinds never load it.
+rewrites it with one str.replace, and only the adjacent pairs at the
+merge sites have their counts updated, so a round costs what the merge
+changes. Only pair selection differs: raw frequency from a heap of plain
+tuples that compare in C, or the count/(left*right) likelihood score,
+re-scored vectorized over the live candidates. The merge loop is
+sequential by construction; determinism comes from exact counts plus
+total tie orders, never from iteration order of hash maps. Only
+WordPiece selection needs numpy, and it imports numpy itself, so
+loading, encoding, decoding and training the other kinds never load it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import heapq
 import logging
 import sys
 from collections import Counter
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable, Mapping
 
 from .morphseg import CliticTable
@@ -27,16 +29,18 @@ from .subword import (
     KIND_BPE_MORPH,
     KIND_WORDLEVEL,
     KIND_WORDPIECE,
+    CONT_PREFIX,
     SPECIALS,
     UNK_ID,
     TokenizerModel,
     merge_output,
-    word_symbols,
 )
 
 log = logging.getLogger(__name__)
 
 MIN_PAIR_FREQ = 2
+
+_FIRST_CHAR = itemgetter(0)
 
 
 def _check_pretokens(pretokens: Mapping[str, int]) -> None:
@@ -63,13 +67,26 @@ class _MergeEngine:
         if not pretokens:
             raise ValueError("pretokens must be non-empty")
         _check_pretokens(pretokens)
-        items = sorted(pretokens.items())
-        symbols = [word_symbols(word) for word, _ in items]
+        # No result depends on the order of the words, so they keep the
+        # table's order.
+        words = list(pretokens)
+        self.word_counts = list(pretokens.values())
 
-        occ_counts: Counter = Counter()
-        for syms, (_, cnt) in zip(symbols, items):
-            for sym in syms:
-                occ_counts[sym] += cnt
+        # A word's first character is its bare symbol, every later one its
+        # "##" symbol. Count both per group of words that share a count.
+        groups: dict[int, list[str]] = {}
+        for word, cnt in pretokens.items():
+            groups.setdefault(cnt, []).append(word)
+        firsts: Counter = Counter()
+        rests: Counter = Counter()
+        for cnt, group in groups.items():
+            first = Counter(map(_FIRST_CHAR, group))
+            for ch, n in first.items():
+                firsts[ch] += n * cnt
+            for ch, n in Counter("".join(group)).items():
+                if n > first[ch]:
+                    rests[ch] += (n - first[ch]) * cnt
+        occ_counts = {**firsts, **{CONT_PREFIX + ch: n for ch, n in rests.items()}}
         ranked = sorted(occ_counts.items(), key=lambda kv: (-kv[1], kv[0]))
         if len(ranked) > max_alphabet:
             log.warning(
@@ -83,8 +100,9 @@ class _MergeEngine:
         self.sym_strs: list[str] = list(SPECIALS) + alphabet
         sym_chrs = {s: chr(i) for i, s in enumerate(self.sym_strs)}
         unk = chr(UNK_ID)
-        self.words = ["".join([sym_chrs.get(s, unk) for s in strs]) for strs in symbols]
-        self.word_counts = [cnt for _, cnt in items]
+        first_chr = {ch: sym_chrs.get(ch, unk) for ch in firsts}
+        rest_table = {ord(ch): sym_chrs.get(CONT_PREFIX + ch, unk) for ch in rests}
+        self.words = [first_chr[w[0]] + w[1:].translate(rest_table) for w in words]
         self.retired: set[str] = set()
         self.pair_cnt: dict[str, int] = {}
         self.pair_words: dict[str, set[int]] = {}
@@ -93,10 +111,7 @@ class _MergeEngine:
         for widx, (w, cnt) in enumerate(zip(self.words, self.word_counts)):
             for key in map(add, w, w[1:]):
                 pair_cnt[key] = pair_cnt.get(key, 0) + cnt
-                try:
-                    pair_words[key].add(widx)
-                except KeyError:
-                    pair_words[key] = {widx}
+                pair_words.setdefault(key, set()).add(widx)
 
         # The vocabulary budget caps the symbol count, and so does the
         # corpus: every merge shortens at least one word by one symbol.
@@ -115,7 +130,14 @@ class _MergeEngine:
 
     def apply_merge(self, key: str, token: str) -> set[str]:
         """Give token the next symbol id and rewrite every word containing
-        the pair key; returns all pairs whose corpus count changed."""
+        the pair key; returns all pairs whose corpus count changed.
+
+        A word with one merge site updates only the pairs at it: the old
+        pairs that overlap the site (left neighbour, key, right neighbour)
+        lose the word's count, and the new pairs, which hold the new
+        symbol, gain it and register the word. Its other pairs keep their
+        counts and their registrations in pair_words. A word with more
+        sites, which is rare, recounts all its pairs."""
         new = chr(len(self.sym_strs))
         self.sym_strs.append(token)
         delta: dict[str, int] = {}
@@ -123,6 +145,7 @@ class _MergeEngine:
         word_counts = self.word_counts
         pair_words = self.pair_words
         merged_occ = 0
+        get = delta.get
         for widx in pair_words.pop(key, ()):
             w = words[widx]
             new_w = w.replace(key, new)
@@ -130,15 +153,29 @@ class _MergeEngine:
                 continue
             words[widx] = new_w
             cnt = word_counts[widx]
-            merged_occ += (len(w) - len(new_w)) * cnt
-            for pair in map(add, w, w[1:]):
-                delta[pair] = delta.get(pair, 0) - cnt
-            for pair in map(add, new_w, new_w[1:]):
-                delta[pair] = delta.get(pair, 0) + cnt
-                try:
-                    pair_words[pair].add(widx)
-                except KeyError:
-                    pair_words[pair] = {widx}
+            sites = len(w) - len(new_w)
+            merged_occ += sites * cnt
+            if sites == 1:  # the key at index i of w is the new symbol at i of new_w
+                i = new_w.find(new)
+                delta[key] = get(key, 0) - cnt
+                if i:  # a left neighbour
+                    pair = w[i - 1:i + 1]
+                    delta[pair] = get(pair, 0) - cnt
+                    pair = new_w[i - 1:i + 1]
+                    delta[pair] = get(pair, 0) + cnt
+                    pair_words.setdefault(pair, set()).add(widx)
+                if i + 1 < len(new_w):  # a right neighbour
+                    pair = w[i + 1:i + 3]
+                    delta[pair] = get(pair, 0) - cnt
+                    pair = new_w[i:i + 2]
+                    delta[pair] = get(pair, 0) + cnt
+                    pair_words.setdefault(pair, set()).add(widx)
+            else:  # pairs away from the sites net to zero
+                for pair in map(add, w, w[1:]):
+                    delta[pair] = get(pair, 0) - cnt
+                for pair in map(add, new_w, new_w[1:]):
+                    delta[pair] = get(pair, 0) + cnt
+                    pair_words.setdefault(pair, set()).add(widx)
         self.occ[ord(key[0])] -= merged_occ
         self.occ[ord(key[1])] -= merged_occ
         self.occ[ord(new)] += merged_occ
@@ -157,49 +194,45 @@ class _MergeEngine:
         return changed
 
 
-class _RevLex:
-    """Heap key wrapper ordering lexicographically greater pairs first."""
-
-    __slots__ = ("pair",)
-
-    def __init__(self, pair: tuple[str, str]):
-        self.pair = pair
-
-    def __lt__(self, other: "_RevLex") -> bool:
-        return self.pair > other.pair
-
-
 class _BpeSelector:
     """Highest raw pair frequency; ties to the lexicographically greatest
     (left, right) token pair. Lazy max-heap: every count change pushes a
-    fresh entry, stale entries are dropped on pop."""
+    fresh entry, stale entries are dropped on pop.
+
+    An entry is the plain tuple (-count, desc[left id], desc[right id],
+    key), so heapq compares it in C. desc[s], cached per symbol id, is
+    the token's negated code points closed by 1: a greater token gets a
+    smaller tuple, and the closing 1 sorts a prefix after its
+    extensions, so the smallest entry is the greatest pair."""
 
     def __init__(self, engine: _MergeEngine, min_freq: int):
         self.engine = engine
         self.min_freq = min_freq
+        self.desc: list[tuple[int, ...]] = []
         self.heap: list = []
-        for key, cnt in engine.pair_cnt.items():
-            if cnt >= min_freq:
-                heapq.heappush(self.heap, (-cnt, _RevLex(engine.pair_strs(key)), key))
+        self.notify(engine.pair_cnt)
 
     def notify(self, changed: Iterable[str]) -> None:
-        engine = self.engine
-        pair_cnt = engine.pair_cnt
+        pair_cnt = self.engine.pair_cnt
+        sym_strs = self.engine.sym_strs
+        desc = self.desc
+        for tok in sym_strs[len(desc):]:
+            desc.append(tuple([-ord(c) for c in tok]) + (1,))
         heap = self.heap
         min_freq = self.min_freq
         for key in changed:
             cnt = pair_cnt.get(key, 0)
             if cnt >= min_freq:
-                heapq.heappush(heap, (-cnt, _RevLex(engine.pair_strs(key)), key))
+                heapq.heappush(heap, (-cnt, desc[ord(key[0])], desc[ord(key[1])], key))
 
     def best(self) -> str | None:
         pair_cnt = self.engine.pair_cnt
         heap = self.heap
         while heap:
-            neg_cnt, _, key = heapq.heappop(heap)
-            if pair_cnt.get(key, 0) != -neg_cnt:
+            entry = heapq.heappop(heap)
+            if pair_cnt.get(entry[3], 0) != -entry[0]:
                 continue  # stale; a fresher entry exists if still eligible
-            return key
+            return entry[3]
         return None
 
 
@@ -207,37 +240,52 @@ class _WordPieceSelector:
     """Maximizes count(ab) / (count(a) * count(b)) over current symbol
     occurrence counts; ties by higher raw count, then lexicographically
     greatest pair. Scores shift whenever unigram counts move, so each
-    round re-scores all registered candidates vectorized. The engine's `occ`
-    list becomes an int64 array here, which its merges update in place."""
+    round re-scores all live candidates vectorized. The engine's `occ`
+    list becomes an int64 array here, which its merges update in place.
+
+    A pair's count never rises once its newer symbol exists, and a
+    retired pair reads 0, so a slot whose count fell below min_freq never
+    scores again: when such dead slots outnumber the live ones, the live
+    slots move to the front and the dead keys leave `slot_of`. The tie
+    break reads keys, not slots, so slot order never matters."""
 
     def __init__(self, engine: _MergeEngine, min_freq: int):
         import numpy as np
         engine.occ = np.array(engine.occ, dtype=np.int64)
         self.engine = engine
         self.min_freq = min_freq
+        self.keys: list[str] = []
         self.slot_of: dict[str, int] = {}
         cap = max(1024, 2 * len(engine.pair_cnt))
         self.left = np.zeros(cap, dtype=np.int64)
         self.right = np.zeros(cap, dtype=np.int64)
         self.cnt = np.zeros(cap, dtype=np.int64)
-        self.n = 0
         for key, cnt in engine.pair_cnt.items():
             if cnt >= min_freq:
                 self._register(key, cnt)
 
     def _register(self, key: str, cnt: int) -> None:
         import numpy as np
-        if self.n == len(self.cnt):
+        slot = len(self.keys)
+        if slot == len(self.cnt):
             for name in ("left", "right", "cnt"):
                 arr = getattr(self, name)
                 grown = np.zeros(len(arr) * 2, dtype=arr.dtype)
-                grown[: len(arr)] = arr
+                grown[:slot] = arr
                 setattr(self, name, grown)
-        slot = self.n
-        self.n += 1
+        self.keys.append(key)
         self.slot_of[key] = slot
         self.left[slot], self.right[slot] = map(ord, key)
         self.cnt[slot] = cnt
+
+    def _compact(self, live) -> None:
+        import numpy as np
+        keep = np.flatnonzero(live)
+        n = len(keep)
+        for arr in (self.left, self.right, self.cnt):
+            arr[:n] = arr[keep]
+        self.keys = [self.keys[slot] for slot in keep.tolist()]
+        self.slot_of = dict(zip(self.keys, range(n)))
 
     def notify(self, changed: Iterable[str]) -> None:
         pair_cnt = self.engine.pair_cnt
@@ -252,23 +300,25 @@ class _WordPieceSelector:
 
     def best(self) -> str | None:
         import numpy as np
-        n = self.n
-        if n == 0:
-            return None
+        n = len(self.keys)
+        live = self.cnt[:n] >= self.min_freq
+        if 2 * np.count_nonzero(live) < n:
+            self._compact(live)
+            return self.best()
         left = self.left[:n]
         right = self.right[:n]
         cnt = self.cnt[:n]
         occ = self.engine.occ
         denom = occ[left] * occ[right]
-        valid = (cnt >= self.min_freq) & (denom > 0)
+        valid = live & (denom > 0)
         if not valid.any():
             return None
         scores = np.where(valid, cnt / np.maximum(denom, 1), -1.0)
         ties = np.flatnonzero(scores == scores.max())
         best_key = None
         best_rank: tuple[int, tuple[str, str]] | None = None
-        for slot in ties:
-            key = chr(left[slot]) + chr(right[slot])
+        for slot in ties.tolist():
+            key = self.keys[slot]
             rank = (int(cnt[slot]), self.engine.pair_strs(key))
             if best_rank is None or rank > best_rank:
                 best_rank = rank

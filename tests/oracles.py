@@ -26,7 +26,6 @@ from artok.subword import (
     UNK_ID,
     UNK_TOKEN,
     merge_output,
-    word_symbols,
 )
 
 MIN_PAIR_FREQ = 2
@@ -38,6 +37,12 @@ _ENTITIES = [("&lt;", "<"), ("&gt;", ">"), ("&quot;", '"'), ("&nbsp;", " "), ("&
 _URL_RE = re.compile(r"(?:[A-Za-z][A-Za-z0-9+.-]*://|www\.)\S+")
 _EMAIL_RE = re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9-]+(?:\.[A-Za-z0-9-]+)*\.[A-Za-z]{2,}")
 _MENTION_RE = re.compile(r"@\w+")
+
+
+def word_symbols(word):
+    """Split a pre-token into its initial symbols: first character bare,
+    every following character prefixed with the continuation mark."""
+    return [word[0]] + [CONT_PREFIX + ch for ch in word[1:]]
 
 
 def _alphabet(pretokens):

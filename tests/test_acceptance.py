@@ -35,11 +35,10 @@ from artok.subword import (
     decode,
     encode,
     load_model,
-    word_symbols,
 )
 from artok.synth import build_corpus
 from artok.trainers import train_from_pretokens
-from oracles import oracle_bpe
+from oracles import oracle_bpe, word_symbols
 
 SIZES = (16000, 28000, 44000)
 KINDS = ("bpe", "wordpiece", "wordlevel", "bpe_morph")

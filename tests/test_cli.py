@@ -297,6 +297,16 @@ def test_a_json_file_that_is_no_object_is_a_data_error(tmp_path, corpus_path, ca
     assert message in caplog.text
 
 
+def test_a_clitic_table_with_a_string_field_is_a_data_error(tmp_path, capsys, caplog):
+    path = tmp_path / "clitics.json"
+    path.write_text(json.dumps({"proclitics": "وال", "enclitics": "ها"}, ensure_ascii=False),
+                    encoding="utf-8")
+    rc, out, _ = run(capsys, "dump-clitics", "--clitic-table", str(path))
+    assert rc == 2
+    assert out == ""
+    assert "clitic table field 'proclitics' must be a JSON array" in caplog.text
+
+
 def test_env_var_supplies_model_path(tmp_path, corpus_path, capsys, monkeypatch):
     model_dir = tmp_path / "m"
     run(capsys, "train", "--corpus", str(corpus_path), "--kind", "wordlevel",

@@ -119,6 +119,15 @@ def test_custom_table_roundtrip(tmp_path):
     assert loaded.proclitics == (("و", True),)
 
 
+@pytest.mark.parametrize("field", ["proclitics", "enclitics"])
+def test_table_rejects_a_string_where_a_list_belongs(field):
+    # a string field once loaded as its single letters: "وال" as و, ا, ل
+    data = {"proclitics": ["وال"], "enclitics": ["ها"]}
+    data[field] = "".join(data[field])
+    with pytest.raises(ValueError, match=f"^clitic table field '{field}' must be a JSON array$"):
+        CliticTable.from_dict(data)
+
+
 def test_table_rejects_empty_forms():
     with pytest.raises(ValueError):
         CliticTable(proclitics=(("", True),))

@@ -37,7 +37,6 @@ from artok.subword import (
     save_model,
     merge_output,
     truncate_model,
-    word_symbols,
 )
 from artok.trainers import _check_pretokens, train_from_pretokens
 
@@ -47,6 +46,7 @@ from oracles import (
     oracle_decode,
     oracle_segment_word,
     oracle_wordpiece,
+    word_symbols,
 )
 
 
@@ -287,6 +287,9 @@ def test_morph_marker_symbol_reaches_vocab():
 @example(words={"aaaa": 2, "a": 1, "ab": 2}, extra=10)  # odd run of the self-pair (##a, ##a)
 # raw characters equal to low symbol ids, and an astral one
 @example(words={"\x01\x05": 3, "\x05\x01\x05": 2, "a\U0001F600\x01": 2}, extra=10)
+# after ("a", "##b"), ("ab", "##c") and ("a", "##c") tie on count 2: the
+# left token "a" is a prefix of "ab", and the greater pair ("ab", "##c") wins
+@example(words={"ab": 10, "abc": 2, "ac": 2}, extra=10)
 def test_bpe_merge_list_matches_oracle(words, extra):
     base = len(SPECIALS) + len({s for w in words for s in word_symbols(w)})
     model = train_from_pretokens(words, "bpe", base + extra)
@@ -332,6 +335,75 @@ def test_wordpiece_merge_list_matches_oracle(words, extra):
     model = train_from_pretokens(words, "wordpiece", base + extra)
     _, oracle_merges = oracle_wordpiece(words, base + extra)
     assert model.merges == oracle_merges
+
+
+def test_wordpiece_compacts_dead_slots_and_matches_oracle():
+    rng = random.Random(0)
+    words = {"".join(rng.choice("abcdefgh") for _ in range(rng.randint(2, 8))):
+             rng.randint(1, 20) for _ in range(150)}
+    size = len(SPECIALS) + len({s for w in words for s in word_symbols(w)}) + 120
+    shrinks = []
+
+    class Selector(trainers._WordPieceSelector):
+        def _compact(self, live):
+            before = len(self.keys)
+            super()._compact(live)
+            shrinks.append((before, len(self.keys)))
+
+    engine = trainers._MergeEngine(words, size - len(SPECIALS))
+    _, merges = trainers._run_merge_loop(engine, Selector(engine, trainers.MIN_PAIR_FREQ), size)
+    assert shrinks and all(after < before for before, after in shrinks)
+    assert tuple(merges) == oracle_wordpiece(words, size)[1]
+
+
+def _assert_engine_consistent(engine):
+    """pair_cnt is a count-weighted recount of the adjacent pairs of
+    engine.words, without retired pairs or zero entries; every word that
+    holds a pair is registered under it; occ counts the symbols."""
+    recount = Counter()
+    occ = Counter()
+    for widx, (w, cnt) in enumerate(zip(engine.words, engine.word_counts)):
+        for i in range(len(w) - 1):
+            recount[w[i:i + 2]] += cnt
+            assert widx in engine.pair_words[w[i:i + 2]]
+        for sym in w:
+            occ[ord(sym)] += cnt
+    assert engine.pair_cnt == {pair: n for pair, n in recount.items()
+                               if pair not in engine.retired}
+    assert [int(n) for n in engine.occ] == [occ[i] for i in range(len(engine.occ))]
+
+
+@pytest.mark.parametrize("kind", ["bpe", "wordpiece"])
+@settings(max_examples=40, deadline=None)
+@given(words=st.dictionaries(st.text(alphabet="ab#كت", min_size=1, max_size=8),
+                             st.integers(min_value=1, max_value=9), min_size=1, max_size=20))
+@example(words={"aaaa": 2, "aaa": 3, "aaaaa": 1})  # self-pair runs: "aaaa" -> "NN", "aaa" -> "Na"
+@example(words={"xabab": 3, "yab": 1})  # adjacent sites of (##a, ##b) in "xabab"
+@example(words={"##a": 3, "x#": 2})  # "#" + "##a" aliases the token "##a": a retire
+@example(words={"a\U0001F600\U0001F600b": 2, "\U0001F600\U0001F600": 3})  # astral
+def test_merge_engine_stays_consistent_with_a_full_recount(kind, words):
+    """Every apply_merge and retire leaves the engine as a full recount of
+    its words would, and apply_merge reports exactly the pairs whose count
+    changed."""
+
+    class Engine(trainers._MergeEngine):
+        def apply_merge(self, key, token):
+            before = dict(self.pair_cnt)
+            changed = super().apply_merge(key, token)
+            _assert_engine_consistent(self)
+            assert changed == {pair for pair in before.keys() | self.pair_cnt.keys()
+                               if before.get(pair) != self.pair_cnt.get(pair)}
+            return changed
+
+        def retire(self, key):
+            super().retire(key)
+            _assert_engine_consistent(self)
+
+    size = len(SPECIALS) + len({s for w in words for s in word_symbols(w)}) + 40
+    engine = Engine(words, size - len(SPECIALS))
+    _assert_engine_consistent(engine)
+    selector = (trainers._BpeSelector if kind == "bpe" else trainers._WordPieceSelector)
+    trainers._run_merge_loop(engine, selector(engine, trainers.MIN_PAIR_FREQ), size)
 
 
 # ---------------------------------------------------------------------------
@@ -860,7 +932,7 @@ def _load_with_merges(tmp_path, model, merges):
 @pytest.mark.parametrize("later_bad_merge", [False, True])
 @pytest.mark.parametrize("flaw", ["left missing", "right missing", "right not continued",
                                   "output missing", "non-string side",
-                                  "three sides", "one side", "a string"])
+                                  "three sides", "one side", "a string", "two letters"])
 def test_load_names_the_first_bad_merge(tmp_path, trained_models, flaw, later_bad_merge):
     model = trained_models[0]
     ids = model.token_ids
@@ -877,19 +949,18 @@ def test_load_names_the_first_bad_merge(tmp_path, trained_models, flaw, later_ba
         "three sides": (model.merges[0] + ("zz",), "malformed merge, not a pair"),
         "one side": ((left,), "malformed merge, not a pair"),
         "a string": ("".join(model.merges[0]), "malformed merge, not a pair"),
+        # a bundle's two-letter string once loaded as a pair of letters
+        "two letters": ("كت", "malformed merge, not a pair"),
     }[flaw]
     merges = list(model.merges)
     merges.insert(len(merges) // 2, bad)
     if later_bad_merge:
         merges.append(("q", "##q"))  # the message must not name it
     # Loading the bundle and making the same model in memory both fail in
-    # merge_ids, with the same message. A bundle's merge that is not a
-    # pair fails earlier, in _merge_pairs (test_load_rejects_malformed_merges),
-    # so those flaws are in-memory only.
-    makers = [lambda: replace(model, merges=merges)]
-    if message != "malformed merge, not a pair":
-        makers.append(lambda: _load_with_merges(tmp_path, model, [list(m) for m in merges]))
-    for make in makers:
+    # merge_ids, with the same message; a bundle keeps a string merge a string.
+    bundle_merges = [list(m) if isinstance(m, tuple) else m for m in merges]
+    for make in (lambda: replace(model, merges=merges),
+                 lambda: _load_with_merges(tmp_path, model, bundle_merges)):
         with pytest.raises(ModelFormatError) as err:
             make()
         assert str(err.value) == f"{message}: {bad!r}"
