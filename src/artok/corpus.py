@@ -134,9 +134,9 @@ def load_documents(
 ) -> Iterator[Document]:
     """Stream documents from disk in file order.
 
-    jsonl: one JSON object per line carrying a "text" field; malformed
-    lines are skipped and counted, not fatal. plain_lines: blank-line
-    separated groups of lines form one document each.
+    jsonl: one JSON object per line carrying a string "text" field;
+    malformed lines are skipped and counted, not fatal. plain_lines:
+    blank-line separated groups of lines form one document each.
     """
     path = Path(path)
     if fmt == "jsonl":
@@ -155,6 +155,8 @@ def _load_jsonl(path: Path, stats: IngestStats | None) -> Iterator[Document]:
             try:
                 record = json.loads(line)
                 text = record["text"]
+                if not isinstance(text, str):
+                    raise TypeError("text must be a string")
             except (json.JSONDecodeError, KeyError, TypeError):
                 if stats is not None:
                     stats.skipped_malformed += 1
@@ -164,7 +166,7 @@ def _load_jsonl(path: Path, stats: IngestStats | None) -> Iterator[Document]:
                 stats.read += 1
             yield Document(
                 id=str(record.get("id", f"{path.name}:{lineno}")),
-                text=str(text),
+                text=text,
                 source=record.get("source"),
             )
 

@@ -21,6 +21,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, asdict
+from itertools import chain, repeat
+from operator import contains
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -34,6 +36,7 @@ from .subword import (
     UNK_ID,
     ALL_KINDS,
     TokenizerModel,
+    _word_ids,
     atomic_write_text,
     count_pretokens,
     decode,
@@ -79,25 +82,21 @@ class ComparisonReport:
 
 
 def evaluate_model(model: TokenizerModel, corpus: Iterable[Document]) -> MetricsRow:
-    """One grid cell's metrics, from the same word encoder `encode` uses;
+    """One grid cell's metrics, from the per-text path `encode` uses;
     words attribute [UNK]s to themselves so coverage can count word
     occurrences that encode cleanly."""
-    encode_word = model.encode_word
     words = 0
     tokens = 0
     unk = 0
-    covered = 0
+    unk_words = 0
     start = time.perf_counter()
     for doc in corpus:
-        doc_words = normalize(doc.text, model.normalizer).split()
-        words += len(doc_words)
-        for word in doc_words:
-            ids = encode_word(word)
-            tokens += len(ids)
-            word_unk = ids.count(UNK_ID)
-            unk += word_unk
-            if word_unk == 0:
-                covered += 1
+        word_ids = _word_ids(model, doc.text)
+        ids = list(chain.from_iterable(word_ids))
+        words += len(word_ids) - word_ids.count(())
+        tokens += len(ids)
+        unk += ids.count(UNK_ID)
+        unk_words += sum(map(contains, word_ids, repeat(UNK_ID)))
     elapsed = time.perf_counter() - start
     if words == 0:
         raise ValueError("corpus has no words after normalization")
@@ -106,7 +105,7 @@ def evaluate_model(model: TokenizerModel, corpus: Iterable[Document]) -> Metrics
         vocab_size=model.vocab_size,
         token_to_word=tokens / words,
         unk_rate=unk / tokens if tokens else 0.0,
-        coverage=covered / words,
+        coverage=(words - unk_words) / words,
         words_per_sec=words / elapsed if elapsed > 0 else 0.0,
         corpus_words=words,
     )

@@ -98,19 +98,29 @@ class CliticTable:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CliticTable":
+        """A table from its JSON form: a proclitic is a form or a [form,
+        may_stack] pair, an enclitic a form. A missing field or an entry
+        of another shape raises ValueError naming it."""
         if not isinstance(d, dict):
             raise ValueError("clitic table must be a JSON object")
         for field in ("proclitics", "enclitics"):
+            if field not in d:
+                raise ValueError(f"clitic table field {field!r} is missing")
             if not isinstance(d[field], list):
                 # a string would load as its single letters
                 raise ValueError(f"clitic table field {field!r} must be a JSON array")
         pro = []
         for entry in d["proclitics"]:
             if isinstance(entry, str):
-                pro.append((entry, True))
-            else:
-                form, stack = entry
-                pro.append((form, bool(stack)))
+                entry = [entry, True]
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and isinstance(entry[0], str) and isinstance(entry[1], bool)):
+                raise ValueError(f"proclitic must be a string or a [string, bool] pair, "
+                                 f"not {entry!r}")
+            pro.append(tuple(entry))
+        for entry in d["enclitics"]:
+            if not isinstance(entry, str):
+                raise ValueError(f"enclitic must be a string, not {entry!r}")
         return cls(proclitics=tuple(pro), enclitics=tuple(d["enclitics"]))
 
     @classmethod

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, asdict
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable
 
 TATWEEL = "ـ"
 
-# Harakat fathatan..sukun plus the superscript alef.
-_DIACRITICS_RE = re.compile("[ً-ْٰ]")
+# Harakat fathatan..sukun plus the superscript alef, as a class body.
+_DIACRITICS = "\u064b-\u0652\u0670"
+_DIACRITICS_RE = re.compile(f"[{_DIACRITICS}]")
 
 # Arabic-Indic and Extended Arabic-Indic digits, positionally onto ASCII.
 _DIGIT_PAIRS = tuple(zip("٠١٢٣٤٥٦٧٨٩" "۰۱۲۳۴۵۶۷۸۹", "0123456789" * 2))
@@ -36,8 +38,12 @@ _ENTITIES = [
     ("&amp;", "&"),
 ]
 
-_URL_RE = re.compile(r"(?:[A-Za-z][A-Za-z0-9+.-]*://|www\.)\S+")
-_EMAIL_RE = re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9-]+(?:\.[A-Za-z0-9-]+)*\.[A-Za-z]{2,}")
+# Both patterns open with one character class, which re scans for in C
+# before it tries a match; a leading alternation or repeat would have it
+# try every position. "(?<=w)ww\." is "www." after its first letter.
+_URL_RE = re.compile(r"[A-Za-z](?:[A-Za-z0-9+.-]*://|(?<=w)ww\.)\S+")
+_EMAIL_RE = re.compile(
+    r"[A-Za-z0-9._%+-][A-Za-z0-9._%+-]*@[A-Za-z0-9-]+(?:\.[A-Za-z0-9-]+)*\.[A-Za-z]{2,}")
 _MENTION_RE = re.compile(r"@\w+")
 
 
@@ -49,7 +55,7 @@ MENTION_PLACEHOLDER = "[USER]"
 EMAIL_PLACEHOLDER = "[EMAIL]"
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormalizerConfig:
     strip_markup: bool = True
     replace_urls: bool = True
@@ -98,7 +104,10 @@ def remove_diacritics(text: str) -> str:
 def map_digits(text: str) -> str:
     """Map Arabic-Indic and Extended Arabic-Indic digits to ASCII 0-9."""
     # str.translate looks every character up in a Python dict; a
-    # containment scan per digit runs in C and most texts hold none.
+    # containment scan per digit runs in C and most texts hold none. A
+    # text of letters alone, such as a word, holds none at all.
+    if text.isalpha():
+        return text
     for digit, ascii_digit in _DIGIT_PAIRS:
         if digit in text:
             text = text.replace(digit, ascii_digit)
@@ -148,10 +157,16 @@ def replace_entities(
 
 
 @lru_cache(maxsize=8)
-def _repeat_pattern(cap: int) -> re.Pattern:
+def _repeat_sub(cap: int) -> Callable[[str], str]:
     # Any character repeated more than cap times; "." costs less than a
     # "\D" class test at every position scanned.
-    return re.compile(r"(.)%s\1+" % (r"\1" * (cap - 1)), re.S)
+    pattern = re.compile(r"(.)%s\1+" % (r"\1" * (cap - 1)), re.S)
+
+    def shorten(m: re.Match) -> str:
+        ch = m.group(1)
+        # str.isdecimal is exactly re's \d: a digit run stays as it is
+        return m.group() if ch.isdecimal() else ch * cap
+    return partial(pattern.sub, shorten)
 
 
 def collapse_repeats(text: str, cap: int = 2) -> str:
@@ -161,12 +176,47 @@ def collapse_repeats(text: str, cap: int = 2) -> str:
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    return _repeat_sub(cap)(text)
 
-    def shorten(m: re.Match) -> str:
-        ch = m.group(1)
-        # str.isdecimal is exactly re's \d: a digit run stays as it is
-        return m.group() if ch.isdecimal() else ch * cap
-    return _repeat_pattern(cap).sub(shorten, text)
+
+def fixed_point_test(cfg: NormalizerConfig) -> Callable[[str], bool]:
+    """A test that a whitespace-free token is a fixed point of
+    `normalize(token, cfg)`. It passes a token only if no enabled pass
+    can change it; it may fail a fixed point, such as "a@" under the
+    mention pass. No pass's trigger is a letter except tatweel (category
+    Lm), so a token of letters alone is searched for tatweel and a run
+    of more than repeat_cap of one character. Any other token is searched
+    for every enabled trigger: a deleted or mapped code point, "<" or "&",
+    "@", "://" or "www.", and a run of more than repeat_cap of one
+    non-digit."""
+    chars = ""
+    if cfg.remove_tatweel:
+        chars += TATWEEL
+    if cfg.remove_diacritics:
+        chars += _DIACRITICS
+    if cfg.map_digits:
+        chars += "".join(digit for digit, _ in _DIGIT_PAIRS)
+    if cfg.strip_markup:
+        chars += "<&"
+    if cfg.replace_mentions or cfg.replace_emails:
+        chars += "@"
+    triggers = [f"[{chars}]"] if chars else []
+    if cfg.replace_urls:
+        triggers += ["://", r"www\."]
+    # A run spelled out as "\1\1" costs re less than "\1{2}" or "\1\1+".
+    more_of_it = r"\1" * cfg.repeat_cap
+    if cfg.collapse_repeats:
+        triggers.append(r"(\D)" + more_of_it)
+    # "(?!)" matches nothing
+    search = re.compile("|".join(triggers) or "(?!)").search
+    run = re.compile(r"(.)" + more_of_it if cfg.collapse_repeats else "(?!)").search
+    tatweel = cfg.remove_tatweel
+
+    def is_fixed_point(token: str) -> bool:
+        if token.isalpha():
+            return not (tatweel and TATWEEL in token) and run(token) is None
+        return search(token) is None
+    return is_fixed_point
 
 
 def normalize(text: str, cfg: NormalizerConfig | None = None) -> str:

@@ -17,17 +17,18 @@ import logging
 import os
 import re
 import tempfile
+import weakref
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, itemgetter, mul
 from pathlib import Path
 from typing import Callable, ClassVar, Iterable
 
 from .corpus import Document
 from .morphseg import CliticTable, desegment_text, segment_word, _segmentable
-from .normalize import NormalizerConfig, normalize
+from .normalize import NormalizerConfig, fixed_point_test, normalize
 
 log = logging.getLogger(__name__)
 
@@ -151,11 +152,11 @@ class TokenizerModel:
 
     @cached_property
     def encode_word(self) -> Callable[[str], tuple[int, ...]]:
-        """The model's one word encoder, shared by `encode` and
-        evaluation; see `_word_encoder`."""
+        """The model's word encoder, whose `table` `encode` and
+        evaluation look raw tokens up in; see `_word_encoder`."""
         bpe = self.kind in (KIND_BPE, KIND_BPE_MORPH)
         return _word_encoder(self.kind, self.token_ids, self.merge_ids if bpe else None,
-                             self.clitic_table)
+                             self.normalizer, self.clitic_table)
 
     @cached_property
     def decode_table(self) -> tuple[list[str], list[int | None]]:
@@ -265,17 +266,27 @@ CACHE_SIZE = 20000
 
 
 def _word_encoder(kind: str, token_ids: dict, merge_ids: tuple | None,
+                  normalizer: NormalizerConfig,
                   clitic_table: CliticTable | None) -> Callable[[str], tuple[int, ...]]:
-    """A model's word encoder: a normalized whitespace word to its ids (for
-    bpe_morph, the ids of its clitic segments in order).
+    """A model's word encoder: a whitespace-free word to its ids (for
+    bpe_morph, the ids of its clitic segments in order), without
+    normalizing the word.
 
-    bpe and wordpiece cache each word in an LRU table of CACHE_SIZE
-    entries, so memory stays bounded on never-repeating traffic. bpe_morph
-    encodes a missed word segment by segment through a second such table
-    keyed by segment (its `segment_ids` attribute), so a stem seen under
-    other clitics is not replayed again. wordlevel is one lookup and
-    caches nothing. The encoders close over the lookup tables, not the
-    model, so a dropped model is freed at once.
+    bpe, wordpiece and bpe_morph keep one LRU table of CACHE_SIZE entries
+    (the encoder's `table` attribute), so memory stays bounded on
+    never-repeating traffic. It is keyed by a raw whitespace token of a
+    request's text, and its value is the ids of the token's normalized
+    word, or () when the token normalizes away. A missed token that
+    `fixed_point_test` passes is its own word and is encoded as it is.
+    Any other is normalized on its own; a word that passes the test is
+    looked up under its own key, so variants of one word (with and
+    without diacritics, say) share one encode. The encoder reads the
+    table for a word that passes the test. bpe_morph encodes a missed
+    word segment by segment through a second table keyed by segment (the
+    encoder's `segment_ids` attribute), so a stem seen under other
+    clitics is not replayed again. wordlevel is one lookup; its `table`
+    is None. The encoders close over the lookup tables, not the model, so
+    a dropped model is freed at once.
 
     bpe replays the merges on ids (`TokenizerModel.merge_ids`). A position
     list holds the rank of each adjacent pair; each round takes the
@@ -285,12 +296,12 @@ def _word_encoder(kind: str, token_ids: dict, merge_ids: tuple | None,
     if kind == KIND_WORDLEVEL:
         def wordlevel_ids(word: str) -> tuple[int, ...]:
             return (token_ids.get(word, UNK_ID),)
+        wordlevel_ids.table = None
         return wordlevel_ids
     if kind == KIND_WORDPIECE:
-        @lru_cache(CACHE_SIZE)
         def wordpiece_ids(word: str) -> tuple[int, ...]:
             return tuple(_wordpiece_pieces(word, token_ids))
-        return wordpiece_ids
+        return _tabled(wordpiece_ids, normalizer)
     lefts, rights, outputs = merge_ids
     # A character absent from the vocab gets `unknown`, above every id in
     # it. A pair's key is left * width + right, so no merge has a key with
@@ -306,7 +317,6 @@ def _word_encoder(kind: str, token_ids: dict, merge_ids: tuple | None,
     cont_id = {sym[len(CONT_PREFIX):]: i for sym, i in token_ids.items()
                if len(sym) == len(CONT_PREFIX) + 1 and sym.startswith(CONT_PREFIX)}.get
 
-    @lru_cache(CACHE_SIZE)
     def bpe_ids(word: str) -> tuple[int, ...]:
         ids = [first_id(word[0], unknown), *map(cont_id, word[1:], repeat(unknown))]
         ranks = list(map(rank_of, map(add, map(mul, ids, repeat(width)), ids[1:]),
@@ -333,28 +343,73 @@ def _word_encoder(kind: str, token_ids: dict, merge_ids: tuple | None,
             return tuple([i if i < unknown else UNK_ID for i in ids])
         return tuple(ids)
     if kind == KIND_BPE:
-        return bpe_ids
+        return _tabled(bpe_ids, normalizer)
 
-    @lru_cache(CACHE_SIZE)
+    segment_ids = lru_cache(CACHE_SIZE)(bpe_ids)
+
     def morph_ids(word: str) -> tuple[int, ...]:
         ids: tuple[int, ...] = ()
         for seg in _segments(word, clitic_table):
-            ids += bpe_ids(seg)
+            ids += segment_ids(seg)
         return ids
-    morph_ids.segment_ids = bpe_ids
-    return morph_ids
+    encode_word = _tabled(morph_ids, normalizer)
+    encode_word.segment_ids = segment_ids
+    return encode_word
+
+
+def _tabled(word_ids: Callable[[str], tuple[int, ...]],
+            normalizer: NormalizerConfig) -> Callable[[str], tuple[int, ...]]:
+    """`word_ids` behind the raw-token table that `_word_encoder` describes."""
+    is_fixed_point = fixed_point_test(normalizer)
+
+    def token_ids(token: str) -> tuple[int, ...]:
+        if is_fixed_point(token):
+            return word_ids(token)
+        # normalize is looked up here at call time, where tracing wraps it
+        word = normalize(token, normalizer)
+        if not word:
+            return ()
+        # A weak reference: the table holding itself would need the
+        # cycle collector to free a dropped model.
+        return table_ref()(word) if is_fixed_point(word) else word_ids(word)
+    table = lru_cache(CACHE_SIZE)(token_ids)
+    table_ref = weakref.ref(table)
+
+    def encode_word(word: str) -> tuple[int, ...]:
+        return table(word) if is_fixed_point(word) else word_ids(word)
+    encode_word.table = table
+    return encode_word
+
+
+def _word_ids(model: TokenizerModel, text: str) -> list[tuple[int, ...]]:
+    """The ids of each whitespace token of `text`, () for a token that
+    normalizes away: the one per-text path of `encode` and evaluation.
+
+    Every normalize pass acts inside one whitespace token except markup,
+    whose tags and "&nbsp;" can span or make whitespace. So when the text
+    holds neither "<" nor "&", the words of normalize(text) are, in
+    order, the normalized tokens, and each token's ids come from the
+    model's table in one C-level lookup. Any other text, and any text
+    for wordlevel, which has no table, is normalized whole and split;
+    each word goes through `model.encode_word`, or for wordlevel through
+    the same vocab lookup made here at C level."""
+    table = model.encode_word.table
+    if table is not None and "<" not in text and "&" not in text:
+        return list(map(table, text.split()))
+    words = normalize(text, model.normalizer).split()
+    if table is None:
+        return list(zip(map(model.token_ids.get, words, repeat(UNK_ID))))
+    return list(map(model.encode_word, words))
 
 
 def encode(model: TokenizerModel, text: str) -> Encoding:
     """Normalize, pre-tokenize and tokenize text with a trained model."""
-    encode_word = model.encode_word
+    word_ids = _word_ids(model, text)
+    ids = list(chain.from_iterable(word_ids))
     vocab = model.vocab
-    words = normalize(text, model.normalizer).split()
-    ids: list[int] = []
-    for word in words:
-        ids += encode_word(word)
     # not map(vocab.__getitem__, ...): a tuple's is a slot wrapper, slow to call
-    return Encoding(ids=ids, tokens=[vocab[i] for i in ids], word_count=len(words))
+    return Encoding(ids=ids, tokens=[vocab[i] for i in ids],
+                    word_count=len(word_ids) - word_ids.count(()))
 
 
 def decode(model: TokenizerModel, ids: Iterable[int]) -> str:

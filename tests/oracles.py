@@ -10,7 +10,8 @@ artok.morphseg.desegment_text; oracle_normalize runs every pass of the
 cleaning pipeline on every text, the reference for artok.normalize's
 gated passes; oracle_bpe_symbols replays merges on symbol strings with a
 full rescan per round, the reference for the id replay of the bpe
-encoders; oracle_segment_word scans the whole clitic table at every
+encoders; oracle_wordpiece_ids tries every piece length at every start,
+the reference for the wordpiece encoder; oracle_segment_word scans the whole clitic table at every
 step, the reference for artok.morphseg.segment_word's indexed table.
 """
 
@@ -25,6 +26,7 @@ from artok.subword import (
     SPECIALS,
     UNK_ID,
     UNK_TOKEN,
+    WORDPIECE_MAX_WORD_CHARS,
     merge_output,
 )
 
@@ -232,6 +234,27 @@ def oracle_bpe_ids(model, word):
     """A bpe model's ids for one pre-token (a clitic segment, for
     bpe_morph), from oracle_bpe_symbols."""
     return tuple(model.token_ids.get(t, UNK_ID) for t in oracle_bpe_symbols(word, model.merges))
+
+
+def oracle_wordpiece_ids(model, word):
+    """A wordpiece model's ids for one word: from each start, the longest
+    vocab entry, "##"-prefixed past the word's first character and never
+    a "##" entry at it; a word with a start no entry fits, or longer than
+    WORDPIECE_MAX_WORD_CHARS, is one [UNK]."""
+    if len(word) > WORDPIECE_MAX_WORD_CHARS:
+        return (UNK_ID,)
+    ids = []
+    start = 0
+    while start < len(word):
+        pieces = [word[start:end] if start == 0 else CONT_PREFIX + word[start:end]
+                  for end in range(len(word), start, -1)]
+        fits = [p for p in pieces if p in model.token_ids
+                and not (start == 0 and p.startswith(CONT_PREFIX))]
+        if not fits:
+            return (UNK_ID,)
+        ids.append(model.token_ids[fits[0]])
+        start += len(fits[0]) - (len(CONT_PREFIX) if start else 0)
+    return tuple(ids)
 
 
 def oracle_segment_word(word, table):

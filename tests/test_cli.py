@@ -307,6 +307,21 @@ def test_a_clitic_table_with_a_string_field_is_a_data_error(tmp_path, capsys, ca
     assert "clitic table field 'proclitics' must be a JSON array" in caplog.text
 
 
+@pytest.mark.parametrize("table, message", [
+    ({"proclitics": []}, "clitic table field 'enclitics' is missing"),
+    ({"proclitics": [["و", True, 1]], "enclitics": []}, "proclitic must be a string or a"),
+    ({"proclitics": [], "enclitics": [5]}, "enclitic must be a string, not 5"),
+], ids=["missing-field", "triple", "int-enclitic"])
+def test_a_malformed_clitic_table_is_a_data_error(tmp_path, capsys, caplog, table, message):
+    path = tmp_path / "clitics.json"
+    path.write_text(json.dumps(table, ensure_ascii=False), encoding="utf-8")
+    rc, out, err = run(capsys, "dump-clitics", "--clitic-table", str(path))
+    assert rc == 2
+    assert out == "" and "Traceback" not in err
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and message in errors[0]
+
+
 def test_env_var_supplies_model_path(tmp_path, corpus_path, capsys, monkeypatch):
     model_dir = tmp_path / "m"
     run(capsys, "train", "--corpus", str(corpus_path), "--kind", "wordlevel",

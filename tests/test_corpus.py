@@ -66,6 +66,15 @@ def test_load_jsonl_missing_text_field_is_malformed(tmp_path):
     assert stats.skipped_malformed == 1
 
 
+def test_load_jsonl_non_string_text_is_malformed(tmp_path):
+    # str() used to turn these into the documents "None", "['كتب']" and "5"
+    path = tmp_path / "c.jsonl"
+    _write_jsonl(path, [{"text": None}, {"text": ["كتب"]}, {"text": 5}, {"text": "ok"}])
+    stats = IngestStats()
+    assert [d.text for d in load_documents(path, "jsonl", stats)] == ["ok"]
+    assert (stats.skipped_malformed, stats.read) == (3, 1)
+
+
 def test_load_unknown_format(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("x", encoding="utf-8")

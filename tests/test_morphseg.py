@@ -128,6 +128,28 @@ def test_table_rejects_a_string_where_a_list_belongs(field):
         CliticTable.from_dict(data)
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"proclitics": []}, "clitic table field 'enclitics' is missing"),
+    ({"enclitics": []}, "clitic table field 'proclitics' is missing"),
+    ({"proclitics": [["و", True, 1]], "enclitics": []},
+     "proclitic must be a string or a [string, bool] pair, not ['و', True, 1]"),
+    ({"proclitics": [["و", 1]], "enclitics": []},
+     "proclitic must be a string or a [string, bool] pair, not ['و', 1]"),
+    ({"proclitics": [[5, True]], "enclitics": []},
+     "proclitic must be a string or a [string, bool] pair, not [5, True]"),
+    ({"proclitics": [None], "enclitics": []},
+     "proclitic must be a string or a [string, bool] pair, not None"),
+    ({"proclitics": [], "enclitics": [5]}, "enclitic must be a string, not 5"),
+], ids=["no-enclitics", "no-proclitics", "triple", "int-stack", "int-form", "null",
+        "int-enclitic"])
+def test_table_rejects_a_missing_field_or_a_malformed_entry(data, message):
+    # a missing field was a KeyError, a triple failed to unpack, and an
+    # enclitic 5 loaded as the form "5"
+    with pytest.raises(ValueError) as exc:
+        CliticTable.from_dict(data)
+    assert str(exc.value) == message
+
+
 def test_table_rejects_empty_forms():
     with pytest.raises(ValueError):
         CliticTable(proclitics=(("", True),))

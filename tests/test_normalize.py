@@ -12,6 +12,7 @@ from artok.normalize import (
     URL_PLACEHOLDER,
     NormalizerConfig,
     collapse_repeats,
+    fixed_point_test,
     map_digits,
     normalize,
     remove_diacritics,
@@ -179,6 +180,27 @@ def test_re_digit_is_str_isdecimal_on_every_code_point():
     # its older pattern skipped runs of \d
     digit = re.compile(r"\d")
     assert [c for c in map(chr, range(0x110000)) if bool(digit.match(c)) != c.isdecimal()] == []
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.one_of(ADVERSARIAL, st.text()), cfg=configs(min_cap=1))
+@example(text="&aamp; ًٌ كتـــاب www.x a@b.cd ١١١ ههه", cfg=NormalizerConfig(repeat_cap=1))
+def test_a_token_the_fixed_point_test_passes_is_a_fixed_point(text, cfg):
+    # encode keys its word table by raw token and encodes a passing token
+    # as it is; a token normalize would change must never pass.
+    is_fixed_point = fixed_point_test(cfg)
+    for token in text.split():
+        if is_fixed_point(token):
+            assert normalize(token, cfg) == token
+
+
+def test_the_fixed_point_test_passes_plain_words_and_fails_each_trigger():
+    is_fixed_point = fixed_point_test(NormalizerConfig())
+    assert all(map(is_fixed_point, ["كتاب", "2000", "111", "[URL]", "ab!", "هه", "w.x"]))
+    assert not any(map(is_fixed_point, ["كتـاب", "كِتاب", "كتاااب", "١٢",
+                                        "<b>", "a&b", "@u", "x@y.zz", "http://x", "www.x"]))
+    # a disabled pass's trigger passes
+    assert fixed_point_test(NormalizerConfig(remove_tatweel=False, map_digits=False))("كتـ١")
 
 
 @settings(max_examples=150, deadline=None)

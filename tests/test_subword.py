@@ -46,8 +46,10 @@ from oracles import (
     oracle_decode,
     oracle_segment_word,
     oracle_wordpiece,
+    oracle_wordpiece_ids,
     word_symbols,
 )
+from test_normalize import ADVERSARIAL, configs
 
 
 def docs(*texts):
@@ -555,8 +557,8 @@ def test_word_caches_stay_bounded_and_exact(tmp_path):
         served = [encode(model, text).ids for text in texts]
         encode_word = model.encode_word
         # wordlevel has no table; bpe_morph has a segment table besides its word table
-        assert hasattr(encode_word, "cache_info") == (kind != "wordlevel")
-        tables = [] if kind == "wordlevel" else [encode_word]
+        assert (encode_word.table is None) == (kind == "wordlevel")
+        tables = [] if kind == "wordlevel" else [encode_word.table]
         if kind == "bpe_morph":
             tables.append(encode_word.segment_ids)
         for table in tables:
@@ -571,6 +573,10 @@ def test_word_caches_stay_bounded_and_exact(tmp_path):
 
 
 def _oracle_word_ids(model, word):
+    if model.kind == "wordlevel":
+        return (model.token_ids.get(word, UNK_ID),)
+    if model.kind == "wordpiece":
+        return oracle_wordpiece_ids(model, word)
     if model.kind == "bpe":
         return oracle_bpe_ids(model, word)
     segments = (oracle_segment_word(word, model.clitic_table).segments
@@ -668,6 +674,62 @@ def test_segment_call_site_sees_each_missed_morph_word(monkeypatch, replay_model
     encode(model, text)
     encode(model, text)
     assert calls == ["والكتاب", "وكتبها", "كتب"]
+
+
+# ---------------------------------------------------------------------------
+# The raw-token table against the whole-text path
+
+
+@pytest.fixture(scope="module")
+def table_models():
+    # Letters, digits and punctuation of ADVERSARIAL text, and the
+    # placeholders, so that most of its tokens have ids besides [UNK].
+    corpus = docs(*["كتاب محمد الهوي وكتابها ابه ab w. 456 2 ! ; / [URL] [USER] [EMAIL]"] * 3,
+                  "والكتاب محمدا هوي كتبا bab 54 w/ab")
+    return {kind: train_model(corpus, kind, 90) for kind in ALL_KINDS}
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(ALL_KINDS), texts=st.lists(ADVERSARIAL, min_size=1, max_size=6),
+       cfg=configs(min_cap=1))
+@example(kind="bpe", texts=["كتاب ًْ ٰ كتاب"], cfg=NormalizerConfig())
+@example(kind="bpe", texts=["&aamp; aamp; &amp;", "aamp;"], cfg=NormalizerConfig(repeat_cap=1))
+@example(kind="wordpiece", texts=["<b x>كتاب", "a<b x>b x"], cfg=NormalizerConfig())
+@example(kind="bpe_morph", texts=["كتـــاب كتاب والكتـاب", "www.x", "a@b.cd"],
+         cfg=NormalizerConfig())
+# "a@" is a fixed point that the fixed-point test fails
+@example(kind="wordpiece", texts=["a@ ab@ a@"], cfg=NormalizerConfig())
+@example(kind="bpe", texts=["كتاب\u2028www.x\x1cمحمد", "http://x\u2028a@b.cd\x1cب"],
+         cfg=NormalizerConfig())
+@example(kind="bpe_morph", texts=["كِتَاب كتاب كِتاب", "وكِتَابها وكتابها"],
+         cfg=NormalizerConfig())
+def test_encode_equals_the_whole_text_path(table_models, kind, texts, cfg):
+    # The words of normalize(text), each through the oracle: the path
+    # every text took before the table was keyed by the raw token. Each
+    # text is sent twice, so tokens miss the table first and then hit it.
+    model = replace(table_models[kind], normalizer=cfg)
+    for text in texts + texts:
+        words = normalize(text, cfg).split()
+        ids = [i for word in words for i in _oracle_word_ids(model, word)]
+        enc = encode(model, text)
+        assert (enc.ids, enc.word_count) == (ids, len(words)), text
+        assert enc.tokens == [model.vocab[i] for i in ids]
+
+
+def test_variants_of_a_word_share_one_encode(monkeypatch, table_models):
+    # A token that normalizes to a word of its own is encoded under the
+    # word's key: the stem is segmented once for all three spellings.
+    model = replace(table_models["bpe_morph"])
+    calls = []
+
+    def counted(word, table):
+        calls.append(word)
+        return segment_word(word, table)
+    monkeypatch.setattr(subword, "segment_word", counted)
+    enc = encode(model, "كِتَاب كتـاب كتاب")
+    assert enc.ids == encode(model, "كتاب كتاب كتاب").ids
+    assert calls == ["كتاب"]
+    assert model.encode_word.table.cache_info().currsize == 3
 
 
 def test_encode_empty_text():
