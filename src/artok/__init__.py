@@ -15,6 +15,7 @@ from .eval import (
     MetricsRow,
     compare_grid,
     evaluate_model,
+    evaluate_sizes,
     roundtrip_audit,
     train_model,
 )

@@ -20,9 +20,10 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from collections import Counter
 from dataclasses import dataclass, asdict
-from itertools import chain, repeat
-from operator import contains
+from itertools import chain, compress, repeat
+from operator import attrgetter, mul
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -33,10 +34,16 @@ from .subword import (
     FORMAT_VERSION,
     KIND_BPE,
     KIND_BPE_MORPH,
+    KIND_WORDLEVEL,
+    KIND_WORDPIECE,
     UNK_ID,
     ALL_KINDS,
     TokenizerModel,
-    _word_ids,
+    _count_words,
+    _merge_replay,
+    _segment_counts,
+    _segments,
+    _wordpiece_pieces,
     atomic_write_text,
     count_pretokens,
     decode,
@@ -82,33 +89,136 @@ class ComparisonReport:
 
 
 def evaluate_model(model: TokenizerModel, corpus: Iterable[Document]) -> MetricsRow:
-    """One grid cell's metrics, from the per-text path `encode` uses;
-    words attribute [UNK]s to themselves so coverage can count word
-    occurrences that encode cleanly."""
-    words = 0
-    tokens = 0
-    unk = 0
-    unk_words = 0
+    """One grid cell's metrics: the one-size case of `evaluate_sizes`,
+    on the documents' normalized words."""
     start = time.perf_counter()
-    for doc in corpus:
-        word_ids = _word_ids(model, doc.text)
-        ids = list(chain.from_iterable(word_ids))
-        words += len(word_ids) - word_ids.count(())
-        tokens += len(ids)
-        unk += ids.count(UNK_ID)
-        unk_words += sum(map(contains, word_ids, repeat(UNK_ID)))
-    elapsed = time.perf_counter() - start
-    if words == 0:
+    words = _count_words(corpus, model.normalizer)
+    return evaluate_sizes([model], words, time.perf_counter() - start)[0]
+
+
+def evaluate_sizes(models: Sequence[TokenizerModel], words: Counter,
+                   normalize_s: float = 0.0) -> list[MetricsRow]:
+    """The metrics of one kind's models at several sizes, a row per
+    model in the order given, from `words`, a held-out split's normalized
+    words and their counts (`count_pretokens` of kind "bpe" counts them),
+    and `normalize_s`, the seconds that counting took.
+
+    Every model must be the largest truncated to its size
+    (`truncate_model`), else ValueError. Each count is a sum over
+    distinct words weighted by their counts, and a word holding [UNK]
+    counts as not covered. wordlevel looks each word up once per size
+    and wordpiece matches it once per size. bpe replays each distinct
+    word once on the largest model, and bpe_morph each distinct clitic
+    segment of the words: in stages, all of them up to the smallest
+    model's merge count, then on to the next, where `_merge_replay`
+    stops each exactly as that size's model would. A row's seconds, its
+    `words_per_sec` denominator, are `normalize_s`, the segmenting of
+    bpe_morph words, and the stages up to its size or, for wordlevel and
+    wordpiece, its own pass."""
+    largest = max(models, key=attrgetter("vocab_size"))
+    _check_truncations(models, largest)
+    n_words = sum(words.values())
+    if n_words == 0:
         raise ValueError("corpus has no words after normalization")
-    return MetricsRow(
-        kind=model.kind,
-        vocab_size=model.vocab_size,
-        token_to_word=tokens / words,
-        unk_rate=unk / tokens if tokens else 0.0,
-        coverage=(words - unk_words) / words,
-        words_per_sec=words / elapsed if elapsed > 0 else 0.0,
-        corpus_words=words,
-    )
+    start = time.perf_counter()
+    counts = list(words.values())
+    if largest.kind == KIND_BPE_MORPH:
+        # pieces are the distinct segments; each word holds their indexes
+        index: dict[str, int] = {}
+        word_pieces = [[index.setdefault(seg, len(index))
+                        for seg in _segments(word, largest.clitic_table)] for word in words]
+        pieces = list(index)
+        freqs = [0] * len(pieces)
+        for js, n in zip(word_pieces, counts):
+            for j in js:
+                freqs[j] += n
+    else:
+        pieces, freqs, word_pieces = list(words), counts, None
+    clock = time.perf_counter()
+    shared_s = normalize_s + clock - start
+    staged = largest.kind in (KIND_BPE, KIND_BPE_MORPH)
+    pass_s = 0.0
+    tallies = {}
+    by_size = {m.vocab_size: m for m in models}
+    for v, lens, unks in _piece_tokens(largest, [by_size[v] for v in sorted(by_size)], pieces):
+        if word_pieces is None:
+            unk_words = sum(compress(counts, unks))
+        else:
+            unk_words = sum(n for n, js in zip(counts, word_pieces)
+                            if any(map(unks.__getitem__, js)))
+        tokens = sum(map(mul, freqs, lens))
+        unk = sum(map(mul, freqs, unks))
+        now = time.perf_counter()
+        pass_s = (pass_s if staged else 0.0) + now - clock
+        clock = now
+        tallies[v] = (tokens, unk, unk_words, shared_s + pass_s)
+    rows = []
+    for model in models:
+        tokens, unk, unk_words, seconds = tallies[model.vocab_size]
+        rows.append(MetricsRow(
+            kind=model.kind,
+            vocab_size=model.vocab_size,
+            token_to_word=tokens / n_words,
+            unk_rate=unk / tokens if tokens else 0.0,
+            coverage=(n_words - unk_words) / n_words,
+            words_per_sec=n_words / seconds if seconds > 0 else 0.0,
+            corpus_words=n_words,
+        ))
+    return rows
+
+
+def _check_truncations(models: Sequence[TokenizerModel], largest: TokenizerModel) -> None:
+    """ValueError unless each model is `largest` truncated to its size,
+    and, for a staged replay, unless the largest merges no pair twice: a
+    repeated pair replays at its later rank, which a smaller model whose
+    merges hold only the earlier one does not."""
+    floor = largest.vocab_size - len(largest.merges)
+    same = (largest.kind, largest.normalizer, largest.clitic_table)
+    for model in models:
+        cut = len(model.merges)
+        if ((model.kind, model.normalizer, model.clitic_table) != same
+                or model.vocab != largest.vocab[:model.vocab_size]
+                or model.merges != largest.merges[:cut]
+                or (model.kind != KIND_WORDLEVEL and model.vocab_size - cut != floor)):
+            raise ValueError(f"the {model.kind} model of size {model.vocab_size} is not the "
+                             f"{largest.kind} model of size {largest.vocab_size} truncated")
+    cuts = {len(model.merges) for model in models}
+    if (largest.kind in (KIND_BPE, KIND_BPE_MORPH) and len(cuts) > 1
+            and len(set(largest.merges)) < len(largest.merges)):
+        raise ValueError("a merge list that repeats a pair cannot be evaluated in stages")
+
+
+def _piece_tokens(largest: TokenizerModel, ascending: Sequence[TokenizerModel],
+                  pieces: Sequence[str]) -> Iterator[tuple[int, Iterable[int], list[int]]]:
+    """For each model in ascending size: its size, and the number of
+    tokens and of [UNK]s it encodes each piece to."""
+    if largest.kind == KIND_WORDLEVEL:
+        get = largest.token_ids.get
+        for model in ascending:
+            v = model.vocab_size
+            yield v, repeat(1), [i == UNK_ID or i >= v for i in map(get, pieces, repeat(UNK_ID))]
+    elif largest.kind == KIND_WORDPIECE:
+        for model in ascending:
+            lens, unks = [], []
+            for piece in pieces:
+                ids = _wordpiece_pieces(piece, model.token_ids)
+                lens.append(len(ids))
+                unks.append(ids.count(UNK_ID))
+            yield model.vocab_size, lens, unks
+    else:
+        start, replay = _merge_replay(largest.token_ids, largest.merge_ids)
+        # each piece's ids list then its ranks list: the start tuples go at
+        # once, so the collector has two lists a piece to track, not three
+        states = list(chain.from_iterable(map(start, pieces)))
+        idss = states[::2]
+        # a character absent from the vocab, which no merge takes
+        unknown = largest.vocab_size
+        for model in ascending:
+            cut = len(model.merges)
+            for ids, ranks in zip(idss, states[1::2]):
+                replay(ids, ranks, cut)
+            yield model.vocab_size, list(map(len, idss)), list(map(list.count, idss,
+                                                                   repeat(unknown)))
 
 
 def split_eval_docs(docs: Sequence[Document]):
@@ -198,11 +308,14 @@ def compare_grid(
 
     Merge selection never depends on the target vocabulary size, so each
     kind trains once at max(sizes) and the smaller cells are exact
-    prefix truncations of that model. This process counts pre-tokens once
-    per needed family. Then, with workers > 1 and at least two kinds to
-    train, a worker_pool of min(workers, kinds to train) processes trains
-    them side by side while this process truncates, saves and evaluates
-    each model in `kinds` order; otherwise all of it runs here. With
+    prefix truncations of that model. This process normalizes the
+    training split once into word counts, from which it segments the
+    clitic counts when bpe_morph trains. Then, with workers > 1 and at
+    least two kinds to train, a worker_pool of min(workers, kinds to
+    train) processes trains them side by side while this process counts
+    the held-out split's words once and truncates, saves and evaluates
+    (`evaluate_sizes`) each model in `kinds` order; otherwise all of it
+    runs here. With
     models_dir set, each bundle is written there beside a `.key` file
     fingerprinting the training inputs, and a kind whose largest bundle
     carries the current key is re-loaded instead of retrained.
@@ -226,9 +339,10 @@ def compare_grid(
         key = _inputs_key(train_docs, normalizer, clitic_table)
     untrained = [kind for kind in kinds
                  if key is None or not _is_cached(models_dir, kind, v_max, key)]
-    pretokens = {family: count_pretokens(train_docs, family, normalizer, clitic_table)
-                 for family in dict.fromkeys(map(_family, untrained))}
+    # The training split is normalized once, into the plain family's counts.
+    pretokens = {}
     if untrained:
+        pretokens[KIND_BPE] = count_pretokens(train_docs, KIND_BPE, normalizer)
         log.info("training %s @ %d", ", ".join(untrained), v_max)
     rows: list[MetricsRow] = []
     spread: dict[str, float] = {}
@@ -238,9 +352,16 @@ def compare_grid(
         # on the pool, or without one in-process when called
         jobs = {}
         for kind in untrained:
+            if _family(kind) not in pretokens:
+                # segmented from the word counts once the jobs before this
+                # one are on the pool, which then trains while it runs
+                pretokens[KIND_BPE_MORPH] = _segment_counts(pretokens[KIND_BPE], clitic_table)
             args = (pretokens[_family(kind)], kind, v_max, normalizer, clitic_table)
             jobs[kind] = (functools.partial(_train_cell, *args) if pool is None
                           else pool.submit(_train_cell, *args).result)
+        start = time.perf_counter()
+        eval_words = _count_words(eval_docs, normalizer)
+        normalize_s = time.perf_counter() - start
         for kind in kinds:
             try:
                 if kind in jobs:
@@ -251,19 +372,19 @@ def compare_grid(
                     path = _cache_path(models_dir, kind, v_max)
                     log.info("loading cached model %s", path)
                     model_max = load_model(path)
-                ratios = []
+                models = []
                 for v in sizes:
                     model_v = truncate_model(model_max, v)
                     if key is not None and (kind in jobs
                                             or not _is_cached(models_dir, kind, v, key)):
                         _cache_save(model_v, models_dir, kind, v, key)
-                    log.info("evaluating %s @ %d", kind, v)
-                    row = evaluate_model(model_v, eval_docs)
-                    rows.append(row)
-                    ratios.append(row.token_to_word)
+                    models.append(model_v)
+                log.info("evaluating %s @ %s", kind, ", ".join(map(str, sizes)))
+                kind_rows = evaluate_sizes(models, eval_words, normalize_s)
             except Exception as exc:
                 raise RuntimeError(f"grid cell kind={kind} sizes={list(sizes)} failed: {exc}") from exc
-            spread[kind] = _relative_spread(ratios)
+            rows.extend(kind_rows)
+            spread[kind] = _relative_spread([row.token_to_word for row in kind_rows])
     return ComparisonReport(rows=rows, corpus_id=corpus_id, spread=spread)
 
 

@@ -152,8 +152,8 @@ class TokenizerModel:
 
     @cached_property
     def encode_word(self) -> Callable[[str], tuple[int, ...]]:
-        """The model's word encoder, whose `table` `encode` and
-        evaluation look raw tokens up in; see `_word_encoder`."""
+        """The model's word encoder, whose `table` `encode` looks raw
+        tokens up in; see `_word_encoder`."""
         bpe = self.kind in (KIND_BPE, KIND_BPE_MORPH)
         return _word_encoder(self.kind, self.token_ids, self.merge_ids if bpe else None,
                              self.normalizer, self.clitic_table)
@@ -220,11 +220,21 @@ def count_pretokens(
         raise ValueError(f"unknown tokenizer kind: {kind!r}")
     if kind == KIND_BPE_MORPH and clitic_table is None:
         raise ValueError("bpe_morph pretokenization requires a clitic table")
+    words = _count_words(corpus, normalizer)
+    return _segment_counts(words, clitic_table) if kind == KIND_BPE_MORPH else words
+
+
+def _count_words(corpus: Iterable[Document], normalizer: NormalizerConfig) -> Counter:
+    """The whitespace words of the documents' normalized texts, counted."""
     words: Counter = Counter()
     for doc in corpus:
         words.update(normalize(doc.text, normalizer).split())
-    if kind != KIND_BPE_MORPH:
-        return words
+    return words
+
+
+def _segment_counts(words: Counter, clitic_table: CliticTable) -> Counter:
+    """Clitic segment counts of a word Counter: each word's count goes
+    to each of its segments, so each word is segmented once."""
     segments: Counter = Counter()
     for word, n in words.items():
         for seg in _segments(word, clitic_table):
@@ -288,11 +298,8 @@ def _word_encoder(kind: str, token_ids: dict, merge_ids: tuple | None,
     is None. The encoders close over the lookup tables, not the model, so
     a dropped model is freed at once.
 
-    bpe replays the merges on ids (`TokenizerModel.merge_ids`). A position
-    list holds the rank of each adjacent pair; each round takes the
-    lowest rank, merges every non-overlapping occurrence of its pair from
-    left to right and re-ranks only the pairs beside each merge. A
-    character absent from the vocab comes out as UNK_ID."""
+    bpe replays every merge with `_merge_replay`. A character absent from
+    the vocab comes out as UNK_ID."""
     if kind == KIND_WORDLEVEL:
         def wordlevel_ids(word: str) -> tuple[int, ...]:
             return (token_ids.get(word, UNK_ID),)
@@ -302,43 +309,13 @@ def _word_encoder(kind: str, token_ids: dict, merge_ids: tuple | None,
         def wordpiece_ids(word: str) -> tuple[int, ...]:
             return tuple(_wordpiece_pieces(word, token_ids))
         return _tabled(wordpiece_ids, normalizer)
-    lefts, rights, outputs = merge_ids
-    # A character absent from the vocab gets `unknown`, above every id in
-    # it. A pair's key is left * width + right, so no merge has a key with
-    # `unknown` on either side.
+    start, replay = _merge_replay(token_ids, merge_ids)
     unknown = len(token_ids)
-    width = unknown + 1
-    # A later duplicate of a pair takes its rank; its output is the same.
-    rank_of = dict(zip(map(add, map(mul, lefts, repeat(width)), rights),
-                       range(len(lefts)))).get
-    no_merge = len(lefts)
-    first_id = token_ids.get
-    # A character's continuation id, without building its "##" string.
-    cont_id = {sym[len(CONT_PREFIX):]: i for sym, i in token_ids.items()
-               if len(sym) == len(CONT_PREFIX) + 1 and sym.startswith(CONT_PREFIX)}.get
+    no_merge = len(merge_ids[0])
 
     def bpe_ids(word: str) -> tuple[int, ...]:
-        ids = [first_id(word[0], unknown), *map(cont_id, word[1:], repeat(unknown))]
-        ranks = list(map(rank_of, map(add, map(mul, ids, repeat(width)), ids[1:]),
-                         repeat(no_merge)))
-        best = min(ranks, default=no_merge)
-        while best < no_merge:
-            merged = outputs[best]
-            merged_key = merged * width
-            i = ranks.index(best)
-            while True:
-                ids[i] = merged
-                del ids[i + 1], ranks[i]
-                if i:
-                    ranks[i - 1] = rank_of(ids[i - 1] * width + merged, no_merge)
-                if i < len(ranks):
-                    ranks[i] = rank_of(merged_key + ids[i + 1], no_merge)
-                # A re-ranked neighbour never takes `best`: that would need
-                # a bare "##" symbol past a word's first position.
-                if best not in ranks:
-                    break
-                i = ranks.index(best, i + 1)
-            best = min(ranks, default=no_merge)
+        ids, ranks = start(word)
+        replay(ids, ranks, no_merge)
         if max(ids) == unknown:
             return tuple([i if i < unknown else UNK_ID for i in ids])
         return tuple(ids)
@@ -355,6 +332,59 @@ def _word_encoder(kind: str, token_ids: dict, merge_ids: tuple | None,
     encode_word = _tabled(morph_ids, normalizer)
     encode_word.segment_ids = segment_ids
     return encode_word
+
+
+def _merge_replay(token_ids: dict, merge_ids: tuple) -> tuple[Callable, Callable]:
+    """The BPE merge loop on ids (`TokenizerModel.merge_ids`), as
+    (start, replay). start(word) gives two lists: the word's symbol ids,
+    with len(token_ids), above every id in the vocab, for a character
+    absent from it, and the rank of each adjacent pair. replay(ids, ranks,
+    limit) applies the merges of rank below `limit` to them in place:
+    each round takes the lowest rank, merges every non-overlapping
+    occurrence of its pair from left to right and re-ranks only the pairs
+    beside each merge. A replay stops where the lowest rank left reaches
+    `limit`, which is where the model truncated to `limit` merges stops
+    when no pair repeats in the merges, so replaying on to a higher limit
+    gives that limit's ids."""
+    lefts, rights, outputs = merge_ids
+    # A pair's key is left * width + right, so no merge has a key with the
+    # absent character's id on either side.
+    unknown = len(token_ids)
+    width = unknown + 1
+    # A later duplicate of a pair takes its rank; its output is the same.
+    rank_of = dict(zip(map(add, map(mul, lefts, repeat(width)), rights),
+                       range(len(lefts)))).get
+    no_merge = len(lefts)
+    first_id = token_ids.get
+    # A character's continuation id, without building its "##" string.
+    cont_id = {sym[len(CONT_PREFIX):]: i for sym, i in token_ids.items()
+               if len(sym) == len(CONT_PREFIX) + 1 and sym.startswith(CONT_PREFIX)}.get
+
+    def start(word: str) -> tuple[list[int], list[int]]:
+        ids = [first_id(word[0], unknown), *map(cont_id, word[1:], repeat(unknown))]
+        return ids, list(map(rank_of, map(add, map(mul, ids, repeat(width)), ids[1:]),
+                             repeat(no_merge)))
+
+    def replay(ids: list[int], ranks: list[int], limit: int) -> None:
+        best = min(ranks, default=no_merge)
+        while best < limit:
+            merged = outputs[best]
+            merged_key = merged * width
+            i = ranks.index(best)
+            while True:
+                ids[i] = merged
+                del ids[i + 1], ranks[i]
+                if i:
+                    ranks[i - 1] = rank_of(ids[i - 1] * width + merged, no_merge)
+                if i < len(ranks):
+                    ranks[i] = rank_of(merged_key + ids[i + 1], no_merge)
+                # A re-ranked neighbour never takes `best`: that would need
+                # a bare "##" symbol past a word's first position.
+                if best not in ranks:
+                    break
+                i = ranks.index(best, i + 1)
+            best = min(ranks, default=no_merge)
+    return start, replay
 
 
 def _tabled(word_ids: Callable[[str], tuple[int, ...]],
@@ -383,23 +413,30 @@ def _tabled(word_ids: Callable[[str], tuple[int, ...]],
 
 def _word_ids(model: TokenizerModel, text: str) -> list[tuple[int, ...]]:
     """The ids of each whitespace token of `text`, () for a token that
-    normalizes away: the one per-text path of `encode` and evaluation.
+    normalizes away: the one per-text path of `encode`.
 
     Every normalize pass acts inside one whitespace token except markup,
     whose tags and "&nbsp;" can span or make whitespace. So when the text
     holds neither "<" nor "&", the words of normalize(text) are, in
     order, the normalized tokens, and each token's ids come from the
-    model's table in one C-level lookup. Any other text, and any text
-    for wordlevel, which has no table, is normalized whole and split;
-    each word goes through `model.encode_word`, or for wordlevel through
-    the same vocab lookup made here at C level."""
+    model's table in one C-level lookup. A text that holds either is
+    normalized whole and split, and each word is its own normalization,
+    so the table gives its ids as well; except where repeats collapse to
+    one character, which can forge an entity or an email that a second
+    normalize would replace ("&aamp;" becomes "&amp;"): there each word
+    goes through `model.encode_word`, which does not normalize. wordlevel
+    has no table; its text is normalized whole and its words looked up
+    at C level."""
     table = model.encode_word.table
     if table is not None and "<" not in text and "&" not in text:
         return list(map(table, text.split()))
-    words = normalize(text, model.normalizer).split()
+    cfg = model.normalizer
+    words = normalize(text, cfg).split()
     if table is None:
         return list(zip(map(model.token_ids.get, words, repeat(UNK_ID))))
-    return list(map(model.encode_word, words))
+    if cfg.collapse_repeats and cfg.repeat_cap == 1:
+        return list(map(model.encode_word, words))
+    return list(map(table, words))
 
 
 def encode(model: TokenizerModel, text: str) -> Encoding:

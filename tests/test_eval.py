@@ -6,10 +6,11 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import artok
 from artok.corpus import Document
@@ -17,6 +18,7 @@ from artok.eval import (
     REPORT_CSV_HEADER,
     compare_grid,
     evaluate_model,
+    evaluate_sizes,
     report_csv,
     report_json,
     report_long_csv,
@@ -25,8 +27,17 @@ from artok.eval import (
     train_model,
     worker_pool,
 )
-from artok.normalize import NormalizerConfig
-from artok.subword import ALL_KINDS, load_model
+from artok.normalize import NormalizerConfig, normalize
+from artok.subword import (
+    ALL_KINDS,
+    SPECIALS,
+    UNK_ID,
+    TokenizerModel,
+    count_pretokens,
+    encode,
+    load_model,
+    truncate_model,
+)
 from artok.trainers import train_from_pretokens
 
 
@@ -79,6 +90,79 @@ def test_coverage_counts_clean_word_occurrences():
     assert row.coverage == pytest.approx(2 / 3)
     assert row.corpus_words == 3
     assert row.token_to_word == 1.0
+
+
+def _encode_row(model, corpus):
+    """A cell's count fields from `encode` of each document, and of each
+    of its normalized words for coverage."""
+    words = tokens = unk = unk_words = 0
+    for doc in corpus:
+        enc = encode(model, doc.text)
+        words += enc.word_count
+        tokens += len(enc.ids)
+        unk += enc.ids.count(UNK_ID)
+        word_ids = [encode(model, word).ids for word in normalize(doc.text, model.normalizer).split()]
+        assert sum(word_ids, []) == enc.ids
+        unk_words += sum(UNK_ID in ids for ids in word_ids)
+    return (model.kind, model.vocab_size, tokens / words, unk / tokens if tokens else 0.0,
+            (words - unk_words) / words, words)
+
+
+# held-out text has letters the training text lacks, so every kind meets [UNK]
+TRAIN_WORDS = st.text(alphabet="والكتبمها", min_size=1, max_size=8)
+HELD_WORDS = st.text(alphabet="والكتبمهاي", min_size=1, max_size=8)
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(ALL_KINDS),
+       train=st.lists(st.lists(TRAIN_WORDS, min_size=1, max_size=8).map(" ".join),
+                      min_size=1, max_size=6),
+       held=st.lists(st.lists(HELD_WORDS, max_size=8).map(" ".join), min_size=1, max_size=4),
+       data=st.data())
+def test_evaluate_sizes_equals_encode_at_each_size(kind, train, held, data):
+    largest = train_model(docs(*train), kind, 60)
+    floor = len(SPECIALS) if kind == "wordlevel" else largest.vocab_size - len(largest.merges)
+    # sizes past the largest truncate to it, as a short model's do in a grid
+    sizes = data.draw(st.lists(st.integers(floor, largest.vocab_size + 3), min_size=1,
+                               max_size=4).map(sorted))
+    models = [truncate_model(largest, v) for v in sizes]
+    held_docs = docs(*held)
+    words = count_pretokens(held_docs, "bpe", largest.normalizer)
+    if not words:
+        with pytest.raises(ValueError, match="no words"):
+            evaluate_sizes(models, words)
+        return
+    rows = evaluate_sizes(models, words, 0.0)
+    assert [(r.kind, r.vocab_size, r.token_to_word, r.unk_rate, r.coverage, r.corpus_words)
+            for r in rows] == [_encode_row(m, held_docs) for m in models]
+    assert all(r.words_per_sec > 0 for r in rows)
+
+
+def test_evaluate_sizes_rejects_a_model_that_is_no_truncation_of_the_largest(small_corpus):
+    model = train_model(small_corpus, "bpe", 100)
+    words = count_pretokens(small_corpus, "bpe", model.normalizer)
+    other = train_model(small_corpus[:3], "bpe", 45)
+    unlike = [other,  # trained apart
+              replace(truncate_model(model, 90), normalizer=NormalizerConfig(repeat_cap=3)),
+              replace(truncate_model(model, 90), merges=model.merges[:20]),
+              train_model(small_corpus, "wordpiece", 90)]
+    for smaller in unlike:
+        with pytest.raises(ValueError, match="is not the bpe model of size 100 truncated"):
+            evaluate_sizes([smaller, model], words)
+    assert evaluate_sizes([other], words)[0].vocab_size == 45
+
+
+def test_evaluate_sizes_rejects_staging_a_merge_list_that_repeats_a_pair():
+    # The repeated pair has rank 1 in the largest, where the smaller
+    # model, which holds the first of the two, merges it at rank 0.
+    vocab = [*SPECIALS, "ب", "##ب", "بب", "x"]
+    largest = TokenizerModel(kind="bpe", vocab=vocab, merges=[("ب", "##ب")] * 2,
+                             normalizer=NormalizerConfig())
+    smaller = truncate_model(largest, 8)
+    words = Counter({"بب": 1})
+    with pytest.raises(ValueError, match="repeats a pair"):
+        evaluate_sizes([smaller, largest], words)
+    assert [evaluate_sizes([m], words)[0].token_to_word for m in (smaller, largest)] == [1, 1]
 
 
 def test_split_eval_docs_is_last_tenth():
@@ -411,6 +495,10 @@ def test_compare_grid_validates_arguments(small_corpus):
 def test_compare_grid_annotates_cell_failures(small_corpus):
     with pytest.raises(RuntimeError, match="kind=bpe"):
         compare_grid(small_corpus, kinds=("bpe",), sizes=(1,))
+    # a size below specials + alphabet fails when the model is truncated
+    with pytest.raises(RuntimeError, match=r"grid cell kind=bpe sizes=\[8, 200\] failed: "
+                                           r"cannot truncate below specials"):
+        compare_grid(small_corpus, kinds=("wordlevel", "bpe"), sizes=(8, 200))
 
 
 def test_roundtrip_audit_exact_for_char_fallback_bpe(small_corpus):

@@ -194,6 +194,21 @@ def test_a_token_the_fixed_point_test_passes_is_a_fixed_point(text, cfg):
             assert normalize(token, cfg) == token
 
 
+@settings(max_examples=500, deadline=None)
+@given(text=st.one_of(ADVERSARIAL, st.text()),
+       # collapsing repeats to one can forge an entity or an email that a
+       # second normalize replaces: "&aamp;" -> "&amp;" -> "&"
+       cfg=configs(min_cap=1).filter(lambda cfg: not (cfg.collapse_repeats
+                                                     and cfg.repeat_cap == 1)))
+@example(text="a&nbsp;b <i>c d</i>&amp;lt;x", cfg=NormalizerConfig())
+@example(text="&aamp; a@b..cd", cfg=NormalizerConfig(collapse_repeats=False, repeat_cap=1))
+def test_each_word_of_a_normalized_text_is_its_own_normalization(text, cfg):
+    # encode looks the words of a normalized markup text up in the table
+    # keyed by raw token, whose value is the ids of the token's normalization
+    for word in normalize(text, cfg).split():
+        assert normalize(word, cfg) == word
+
+
 def test_the_fixed_point_test_passes_plain_words_and_fails_each_trigger():
     is_fixed_point = fixed_point_test(NormalizerConfig())
     assert all(map(is_fixed_point, ["كتاب", "2000", "111", "[URL]", "ab!", "هه", "w.x"]))

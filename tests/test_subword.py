@@ -694,6 +694,8 @@ def table_models():
        cfg=configs(min_cap=1))
 @example(kind="bpe", texts=["كتاب ًْ ٰ كتاب"], cfg=NormalizerConfig())
 @example(kind="bpe", texts=["&aamp; aamp; &amp;", "aamp;"], cfg=NormalizerConfig(repeat_cap=1))
+@example(kind="wordpiece", texts=["& a@b..cd", "a@b.cd"],
+         cfg=NormalizerConfig(repeat_cap=1, replace_mentions=False))
 @example(kind="wordpiece", texts=["<b x>كتاب", "a<b x>b x"], cfg=NormalizerConfig())
 @example(kind="bpe_morph", texts=["كتـــاب كتاب والكتـاب", "www.x", "a@b.cd"],
          cfg=NormalizerConfig())
