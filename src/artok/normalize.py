@@ -5,10 +5,13 @@ Every transform is a pure function; the full pipeline order is fixed
 repeat collapsing -> whitespace canonicalization) and each step is gated
 by a config flag. The codepoint deletions and the digit mapping run
 first: they can complete a URL, email or mention ("aـ@b.ab" becomes
-the email "a@b.ab") that only a later entity pass would replace. The
-pipeline is idempotent for every configuration, which lets a trained
-tokenizer re-apply it at encode time without tracking whether its
-input was already cleaned.
+the email "a@b.ab") that only a later entity pass would replace.
+Collapsing repeats comes after the markup and entity passes and can
+forge what they replace ("&aamp;" becomes "&amp;" at cap 1), so when it
+changes the text they run again, and collapsing again, until nothing
+new is forged. So the pipeline is idempotent for every configuration,
+which lets a trained tokenizer re-apply it at encode time without
+tracking whether its input was already cleaned.
 """
 
 from __future__ import annotations
@@ -54,6 +57,10 @@ URL_PLACEHOLDER = "[URL]"
 MENTION_PLACEHOLDER = "[USER]"
 EMAIL_PLACEHOLDER = "[EMAIL]"
 
+# The repeat patterns spell one backreference per unit of cap, so they
+# take time linear in it to compile; a cap read from a file stays below.
+MAX_REPEAT_CAP = 1000
+
 
 @dataclass(frozen=True)
 class NormalizerConfig:
@@ -75,8 +82,9 @@ class NormalizerConfig:
                 raise ValueError(f"normalizer flag {name} must be true or false, not {value!r}")
         if type(self.repeat_cap) is not int:  # bool is an int subclass
             raise ValueError(f"repeat_cap must be an integer, not {self.repeat_cap!r}")
-        if self.repeat_cap < 1:
-            raise ValueError("repeat_cap must be >= 1")
+        if not 1 <= self.repeat_cap <= MAX_REPEAT_CAP:
+            raise ValueError(f"repeat_cap must be between 1 and {MAX_REPEAT_CAP}, "
+                             f"not {self.repeat_cap}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -219,8 +227,25 @@ def fixed_point_test(cfg: NormalizerConfig) -> Callable[[str], bool]:
     return is_fixed_point
 
 
+def _markup_and_entities(text: str, cfg: NormalizerConfig) -> str:
+    """The enabled markup and entity passes, in pipeline order."""
+    if cfg.strip_markup:
+        text = strip_markup(text)
+    if cfg.replace_urls or cfg.replace_mentions or cfg.replace_emails:
+        text = replace_entities(
+            text,
+            urls=cfg.replace_urls,
+            mentions=cfg.replace_mentions,
+            emails=cfg.replace_emails,
+        )
+    return text
+
+
 def normalize(text: str, cfg: NormalizerConfig | None = None) -> str:
-    """Apply the enabled transforms in the fixed pipeline order.
+    """Apply the enabled transforms in the fixed pipeline order. After
+    each collapse that changes the text, the markup and entity passes
+    run again, and collapsing again after them, until neither changes
+    anything.
 
     Whitespace canonicalization (runs -> single space, trimmed) always
     runs last regardless of configuration.
@@ -232,17 +257,12 @@ def normalize(text: str, cfg: NormalizerConfig | None = None) -> str:
         text = remove_diacritics(text)
     if cfg.map_digits:
         text = map_digits(text)
-    if cfg.strip_markup:
-        text = strip_markup(text)
-    if cfg.replace_urls or cfg.replace_mentions or cfg.replace_emails:
-        text = replace_entities(
-            text,
-            urls=cfg.replace_urls,
-            mentions=cfg.replace_mentions,
-            emails=cfg.replace_emails,
-        )
+    text = _markup_and_entities(text, cfg)
     if cfg.collapse_repeats:
-        text = collapse_repeats(text, cfg.repeat_cap)
+        while (collapsed := collapse_repeats(text, cfg.repeat_cap)) != text:
+            text = _markup_and_entities(collapsed, cfg)
+            if text == collapsed:
+                break
     # str.split() splits on exactly the characters re's \s matches, so
     # this equals replacing \s+ runs with one space and trimming.
     return " ".join(text.split())

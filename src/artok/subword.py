@@ -152,11 +152,16 @@ class TokenizerModel:
 
     @cached_property
     def encode_word(self) -> Callable[[str], tuple[int, ...]]:
-        """The model's word encoder, whose `table` `encode` looks raw
-        tokens up in; see `_word_encoder`."""
+        """The model's word encoder, which does not normalize; see
+        `_word_encoder`."""
         bpe = self.kind in (KIND_BPE, KIND_BPE_MORPH)
         return _word_encoder(self.kind, self.token_ids, self.merge_ids if bpe else None,
-                             self.normalizer, self.clitic_table)
+                             self.clitic_table)
+
+    @cached_property
+    def word_table(self) -> Callable[[str], tuple[int, ...]]:
+        """The table `encode` looks each raw token up in; see `_tabled`."""
+        return _tabled(self.encode_word, self.normalizer)
 
     @cached_property
     def decode_table(self) -> tuple[list[str], list[int | None]]:
@@ -276,39 +281,25 @@ CACHE_SIZE = 20000
 
 
 def _word_encoder(kind: str, token_ids: dict, merge_ids: tuple | None,
-                  normalizer: NormalizerConfig,
                   clitic_table: CliticTable | None) -> Callable[[str], tuple[int, ...]]:
     """A model's word encoder: a whitespace-free word to its ids (for
     bpe_morph, the ids of its clitic segments in order), without
-    normalizing the word.
-
-    bpe, wordpiece and bpe_morph keep one LRU table of CACHE_SIZE entries
-    (the encoder's `table` attribute), so memory stays bounded on
-    never-repeating traffic. It is keyed by a raw whitespace token of a
-    request's text, and its value is the ids of the token's normalized
-    word, or () when the token normalizes away. A missed token that
-    `fixed_point_test` passes is its own word and is encoded as it is.
-    Any other is normalized on its own; a word that passes the test is
-    looked up under its own key, so variants of one word (with and
-    without diacritics, say) share one encode. The encoder reads the
-    table for a word that passes the test. bpe_morph encodes a missed
-    word segment by segment through a second table keyed by segment (the
-    encoder's `segment_ids` attribute), so a stem seen under other
-    clitics is not replayed again. wordlevel is one lookup; its `table`
-    is None. The encoders close over the lookup tables, not the model, so
-    a dropped model is freed at once.
-
-    bpe replays every merge with `_merge_replay`. A character absent from
-    the vocab comes out as UNK_ID."""
+    normalizing the word. wordlevel is one lookup; wordpiece matches the
+    longest piece first; bpe replays every merge with `_merge_replay`,
+    and a character absent from the vocab comes out as UNK_ID. bpe_morph
+    encodes a word segment by segment through an LRU table of CACHE_SIZE
+    entries keyed by segment (the encoder's `segment_ids` attribute), so
+    a stem seen under other clitics is not replayed again. The encoders
+    close over the lookup tables, not the model, so a dropped model is
+    freed at once."""
     if kind == KIND_WORDLEVEL:
         def wordlevel_ids(word: str) -> tuple[int, ...]:
             return (token_ids.get(word, UNK_ID),)
-        wordlevel_ids.table = None
         return wordlevel_ids
     if kind == KIND_WORDPIECE:
         def wordpiece_ids(word: str) -> tuple[int, ...]:
             return tuple(_wordpiece_pieces(word, token_ids))
-        return _tabled(wordpiece_ids, normalizer)
+        return wordpiece_ids
     start, replay = _merge_replay(token_ids, merge_ids)
     unknown = len(token_ids)
     no_merge = len(merge_ids[0])
@@ -320,7 +311,7 @@ def _word_encoder(kind: str, token_ids: dict, merge_ids: tuple | None,
             return tuple([i if i < unknown else UNK_ID for i in ids])
         return tuple(ids)
     if kind == KIND_BPE:
-        return _tabled(bpe_ids, normalizer)
+        return bpe_ids
 
     segment_ids = lru_cache(CACHE_SIZE)(bpe_ids)
 
@@ -329,9 +320,8 @@ def _word_encoder(kind: str, token_ids: dict, merge_ids: tuple | None,
         for seg in _segments(word, clitic_table):
             ids += segment_ids(seg)
         return ids
-    encode_word = _tabled(morph_ids, normalizer)
-    encode_word.segment_ids = segment_ids
-    return encode_word
+    morph_ids.segment_ids = segment_ids
+    return morph_ids
 
 
 def _merge_replay(token_ids: dict, merge_ids: tuple) -> tuple[Callable, Callable]:
@@ -389,7 +379,15 @@ def _merge_replay(token_ids: dict, merge_ids: tuple) -> tuple[Callable, Callable
 
 def _tabled(word_ids: Callable[[str], tuple[int, ...]],
             normalizer: NormalizerConfig) -> Callable[[str], tuple[int, ...]]:
-    """`word_ids` behind the raw-token table that `_word_encoder` describes."""
+    """A model's word table: `word_ids` behind one LRU table of
+    CACHE_SIZE entries, so memory stays bounded on never-repeating
+    traffic. It is keyed by a raw whitespace token, and its value is the
+    ids of the token's normalized word, or () when the token normalizes
+    away. A missed token that `fixed_point_test` passes is its own word
+    and is encoded as it is. Any other is normalized on its own; a word
+    that passes the test is looked up under its own key, so variants of
+    one word (with and without diacritics, say) share one encode. The
+    table closes over `word_ids`, never the model."""
     is_fixed_point = fixed_point_test(normalizer)
 
     def token_ids(token: str) -> tuple[int, ...]:
@@ -404,44 +402,23 @@ def _tabled(word_ids: Callable[[str], tuple[int, ...]],
         return table_ref()(word) if is_fixed_point(word) else word_ids(word)
     table = lru_cache(CACHE_SIZE)(token_ids)
     table_ref = weakref.ref(table)
-
-    def encode_word(word: str) -> tuple[int, ...]:
-        return table(word) if is_fixed_point(word) else word_ids(word)
-    encode_word.table = table
-    return encode_word
+    return table
 
 
-def _word_ids(model: TokenizerModel, text: str) -> list[tuple[int, ...]]:
-    """The ids of each whitespace token of `text`, () for a token that
-    normalizes away: the one per-text path of `encode`.
+def encode(model: TokenizerModel, text: str) -> Encoding:
+    """Normalize, pre-tokenize and tokenize text with a trained model:
+    each whitespace word goes through `model.word_table`, for every kind.
 
     Every normalize pass acts inside one whitespace token except markup,
     whose tags and "&nbsp;" can span or make whitespace. So when the text
     holds neither "<" nor "&", the words of normalize(text) are, in
-    order, the normalized tokens, and each token's ids come from the
-    model's table in one C-level lookup. A text that holds either is
-    normalized whole and split, and each word is its own normalization,
-    so the table gives its ids as well; except where repeats collapse to
-    one character, which can forge an entity or an email that a second
-    normalize would replace ("&aamp;" becomes "&amp;"): there each word
-    goes through `model.encode_word`, which does not normalize. wordlevel
-    has no table; its text is normalized whole and its words looked up
-    at C level."""
-    table = model.encode_word.table
-    if table is not None and "<" not in text and "&" not in text:
-        return list(map(table, text.split()))
-    cfg = model.normalizer
-    words = normalize(text, cfg).split()
-    if table is None:
-        return list(zip(map(model.token_ids.get, words, repeat(UNK_ID))))
-    if cfg.collapse_repeats and cfg.repeat_cap == 1:
-        return list(map(model.encode_word, words))
-    return list(map(table, words))
-
-
-def encode(model: TokenizerModel, text: str) -> Encoding:
-    """Normalize, pre-tokenize and tokenize text with a trained model."""
-    word_ids = _word_ids(model, text)
+    order, the normalizations of its raw tokens, which the table maps to
+    their ids. A text that holds either is normalized whole first; each
+    of its words is its own normalization, so the table gives its ids
+    as well."""
+    if "<" in text or "&" in text:
+        text = normalize(text, model.normalizer)
+    word_ids = list(map(model.word_table, text.split()))
     ids = list(chain.from_iterable(word_ids))
     vocab = model.vocab
     # not map(vocab.__getitem__, ...): a tuple's is a slot wrapper, slow to call

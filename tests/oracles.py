@@ -180,7 +180,9 @@ def oracle_decode(model, ids):
 
 def oracle_normalize(text, cfg):
     """The cleaning pipeline with nothing skipped: every enabled pass
-    scans every text, and repeats are found by a "\\D" class."""
+    scans every text, and repeats are found by a "\\D" class. The markup,
+    entity and repeat passes run again, all of them, until a round
+    changes nothing."""
     if cfg.remove_tatweel:
         text = text.replace("\u0640", "")
     if cfg.remove_diacritics:
@@ -189,25 +191,28 @@ def oracle_normalize(text, cfg):
         for digit, ascii_digit in _DIGIT_PAIRS:
             if digit in text:
                 text = text.replace(digit, ascii_digit)
-    if cfg.strip_markup:
-        while True:
-            out = _TAG_RE.sub("", text)
-            for entity, char in _ENTITIES:
-                out = out.replace(entity, char)
-            if out == text:
-                break
-            text = out
-    if cfg.replace_urls:
-        text = _URL_RE.sub("[URL]", text)
-    if cfg.replace_emails:
-        text = _EMAIL_RE.sub("[EMAIL]", text)
-    if cfg.replace_mentions:
-        text = _MENTION_RE.sub("[USER]", text)
-    if cfg.collapse_repeats:
-        cap = cfg.repeat_cap
-        pattern = re.compile(r"(\D)\1{%d,}" % cap)
-        text = pattern.sub(lambda m: m.group(1) * cap, text)
-    return " ".join(text.split())
+    while True:
+        before = text
+        if cfg.strip_markup:
+            while True:
+                out = _TAG_RE.sub("", text)
+                for entity, char in _ENTITIES:
+                    out = out.replace(entity, char)
+                if out == text:
+                    break
+                text = out
+        if cfg.replace_urls:
+            text = _URL_RE.sub("[URL]", text)
+        if cfg.replace_emails:
+            text = _EMAIL_RE.sub("[EMAIL]", text)
+        if cfg.replace_mentions:
+            text = _MENTION_RE.sub("[USER]", text)
+        if cfg.collapse_repeats:
+            cap = cfg.repeat_cap
+            pattern = re.compile(r"(\D)\1{%d,}" % cap)
+            text = pattern.sub(lambda m: m.group(1) * cap, text)
+        if text == before:
+            return " ".join(text.split())
 
 
 def oracle_bpe_symbols(word, merges):

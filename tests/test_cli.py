@@ -297,6 +297,27 @@ def test_a_json_file_that_is_no_object_is_a_data_error(tmp_path, corpus_path, ca
     assert message in caplog.text
 
 
+@pytest.mark.parametrize("route", ["normalizer", "model"])
+def test_a_repeat_cap_above_the_ceiling_is_a_data_error(tmp_path, corpus_path, wordlevel_model,
+                                                       capsys, caplog, route):
+    if route == "normalizer":
+        path = tmp_path / "n.json"
+        path.write_text(json.dumps({"repeat_cap": 200_000}), encoding="utf-8")
+        argv = ("preprocess", "--input", str(corpus_path), "--output",
+                str(tmp_path / "clean.jsonl"), "--normalizer", str(path))
+    else:
+        data = json.loads(wordlevel_model.read_text(encoding="utf-8"))
+        del data["checksum"]
+        data["normalizer"]["repeat_cap"] = 200_000
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+        argv = ("encode", "--model", str(path), "--text", "كتاب")
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert "repeat_cap must be between 1 and 1000, not 200000" in caplog.text
+
+
 def test_a_clitic_table_with_a_string_field_is_a_data_error(tmp_path, capsys, caplog):
     path = tmp_path / "clitics.json"
     path.write_text(json.dumps({"proclitics": "وال", "enclitics": "ها"}, ensure_ascii=False),

@@ -8,6 +8,7 @@ from oracles import oracle_normalize
 
 from artok.normalize import (
     EMAIL_PLACEHOLDER,
+    MAX_REPEAT_CAP,
     MENTION_PLACEHOLDER,
     URL_PLACEHOLDER,
     NormalizerConfig,
@@ -90,6 +91,9 @@ def test_config_roundtrip_and_validation():
     assert NormalizerConfig.from_dict(cfg.to_dict()) == cfg
     with pytest.raises(ValueError):
         NormalizerConfig(repeat_cap=0)
+    assert NormalizerConfig(repeat_cap=MAX_REPEAT_CAP).repeat_cap == MAX_REPEAT_CAP
+    with pytest.raises(ValueError, match="^repeat_cap must be between 1 and 1000, not 1001$"):
+        NormalizerConfig(repeat_cap=MAX_REPEAT_CAP + 1)
     with pytest.raises(ValueError):
         NormalizerConfig.from_dict({"no_such_flag": True})
     for bad in ({"map_digits": "false"}, {"strip_markup": 1}, {"repeat_cap": 2.5},
@@ -132,27 +136,18 @@ def configs(min_cap):
     )
 
 
-# cap=1 can forge entity names out of repeats ("&aamp;" -> "&amp;"),
-# which the pipeline order (markup first) cannot re-strip; the cap=1
-# domain is covered separately on entity-free text.
-CONFIGS = configs(min_cap=2)
-
-
 @settings(max_examples=200, deadline=None)
-@given(text=ADVERSARIAL, cfg=CONFIGS)
+@given(text=ADVERSARIAL, cfg=configs(min_cap=1))
 # a deleted diacritic, tatweel or mapped digit completes a mention/email
 @example(text="@ًك", cfg=NormalizerConfig())
 @example(text="aـ@b.ab", cfg=NormalizerConfig(replace_mentions=False))
 @example(text="x@y٠.zz", cfg=NormalizerConfig(replace_mentions=False))
+# collapsing a repeat to one forges an entity or an email
+@example(text="&aamp;", cfg=NormalizerConfig(repeat_cap=1))
+@example(text="a@b..cd", cfg=NormalizerConfig(repeat_cap=1, replace_mentions=False))
+# the forged "&lt;" opens a tag whose removal joins a run that forges "&amp;"
+@example(text="&a&llt;b>amp;", cfg=NormalizerConfig(repeat_cap=1))
 def test_normalize_idempotent(text, cfg):
-    once = normalize(text, cfg)
-    assert normalize(once, cfg) == once
-
-
-@settings(max_examples=100, deadline=None)
-@given(text=st.text(alphabet="كتابال اa1!ههه", max_size=30))
-def test_normalize_idempotent_cap_one(text):
-    cfg = NormalizerConfig(repeat_cap=1)
     once = normalize(text, cfg)
     assert normalize(once, cfg) == once
 
@@ -164,9 +159,11 @@ def test_normalize_matches_the_ungated_pipeline(text, cfg):
 
 
 # One text at each pass's gate: its trigger literal, a run of digits of
-# each kind (ASCII, Arabic-Indic, a non-Arabic Nd), and runs that collapse.
+# each kind (ASCII, Arabic-Indic, a non-Arabic Nd), runs that collapse,
+# and runs whose collapse to one forges an entity or an email.
 @pytest.mark.parametrize("text", ["http://x", "www.x", "x@y.zz", "@u", "<b>", "&amp;lt;",
-                                  "1111", "١١١١", "𝟘𝟘𝟘", "ـــ", "\n\n\n", "ههههه"])
+                                  "1111", "١١١١", "𝟘𝟘𝟘", "ـــ", "\n\n\n", "ههههه",
+                                  "&aamp;", "a@b..cd"])
 @pytest.mark.parametrize("cap", [1, 2, 3, 4])
 @pytest.mark.parametrize("flags", [{}, {"map_digits": False, "remove_tatweel": False,
                                         "replace_urls": False}])
@@ -195,13 +192,10 @@ def test_a_token_the_fixed_point_test_passes_is_a_fixed_point(text, cfg):
 
 
 @settings(max_examples=500, deadline=None)
-@given(text=st.one_of(ADVERSARIAL, st.text()),
-       # collapsing repeats to one can forge an entity or an email that a
-       # second normalize replaces: "&aamp;" -> "&amp;" -> "&"
-       cfg=configs(min_cap=1).filter(lambda cfg: not (cfg.collapse_repeats
-                                                     and cfg.repeat_cap == 1)))
+@given(text=st.one_of(ADVERSARIAL, st.text()), cfg=configs(min_cap=1))
 @example(text="a&nbsp;b <i>c d</i>&amp;lt;x", cfg=NormalizerConfig())
 @example(text="&aamp; a@b..cd", cfg=NormalizerConfig(collapse_repeats=False, repeat_cap=1))
+@example(text="&aamp; a@b..cd", cfg=NormalizerConfig(repeat_cap=1, replace_mentions=False))
 def test_each_word_of_a_normalized_text_is_its_own_normalization(text, cfg):
     # encode looks the words of a normalized markup text up in the table
     # keyed by raw token, whose value is the ids of the token's normalization
@@ -219,7 +213,7 @@ def test_the_fixed_point_test_passes_plain_words_and_fails_each_trigger():
 
 
 @settings(max_examples=150, deadline=None)
-@given(text=ADVERSARIAL, cfg=CONFIGS)
+@given(text=ADVERSARIAL, cfg=configs(min_cap=1))
 def test_normalize_whitespace_canonical(text, cfg):
     out = normalize(text, cfg)
     assert out == out.strip()

@@ -555,12 +555,10 @@ def test_word_caches_stay_bounded_and_exact(tmp_path):
         model = train_model(corpus, kind, 300)
         save_model(model, tmp_path / "m.json")
         served = [encode(model, text).ids for text in texts]
-        encode_word = model.encode_word
-        # wordlevel has no table; bpe_morph has a segment table besides its word table
-        assert (encode_word.table is None) == (kind == "wordlevel")
-        tables = [] if kind == "wordlevel" else [encode_word.table]
+        # bpe_morph has a segment table besides its word table
+        tables = [model.word_table]
         if kind == "bpe_morph":
-            tables.append(encode_word.segment_ids)
+            tables.append(model.encode_word.segment_ids)
         for table in tables:
             info = table.cache_info()
             assert info.currsize <= CACHE_SIZE < info.misses, (kind, info)
@@ -705,6 +703,9 @@ def table_models():
          cfg=NormalizerConfig())
 @example(kind="bpe_morph", texts=["كِتَاب كتاب كِتاب", "وكِتَابها وكتابها"],
          cfg=NormalizerConfig())
+# a token that normalizes away, alone and in a markup text
+@example(kind="wordlevel", texts=["كتاب ًْ كتاب", "<b>ًْ</b> ًْ &amp; كتاب"],
+         cfg=NormalizerConfig())
 def test_encode_equals_the_whole_text_path(table_models, kind, texts, cfg):
     # The words of normalize(text), each through the oracle: the path
     # every text took before the table was keyed by the raw token. Each
@@ -731,7 +732,7 @@ def test_variants_of_a_word_share_one_encode(monkeypatch, table_models):
     enc = encode(model, "كِتَاب كتـاب كتاب")
     assert enc.ids == encode(model, "كتاب كتاب كتاب").ids
     assert calls == ["كتاب"]
-    assert model.encode_word.table.cache_info().currsize == 3
+    assert model.word_table.cache_info().currsize == 3
 
 
 def test_encode_empty_text():
@@ -952,9 +953,10 @@ def test_dropped_model_is_freed_without_the_cycle_collector(tmp_path, trained_mo
     try:
         model = load_model(path)
         decode(model, encode(model, "كتاب والكتاب يتحدثها").ids)
-        refs = weakref.ref(model), weakref.ref(model.encode_word)
+        refs = [weakref.ref(model), weakref.ref(model.encode_word),
+                weakref.ref(model.word_table)]
         del model
-        assert [ref() for ref in refs] == [None, None]
+        assert [ref() for ref in refs] == [None, None, None]
     finally:
         gc.enable()
 
@@ -1056,6 +1058,20 @@ def test_load_rejects_non_string_vocab_entry(tmp_path, trained_models):
     data["vocab"][6] = 5
     path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
     with pytest.raises(ModelFormatError, match="malformed"):
+        load_model(path)
+
+
+def test_load_rejects_a_repeat_cap_above_the_ceiling(tmp_path, trained_models):
+    # The repeat patterns grow with the cap: a huge one would stall the
+    # first encode while they compile.
+    path = tmp_path / "m.json"
+    save_model(trained_models[2], path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    del data["checksum"]
+    data["normalizer"]["repeat_cap"] = 200_000
+    path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="^malformed model bundle: repeat_cap must be "
+                                               "between 1 and 1000, not 200000$"):
         load_model(path)
 
 
