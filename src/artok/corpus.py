@@ -23,9 +23,16 @@ REJECT_NAVIGATION = "navigation_like"
 
 # Script blocks counted as Arabic: core, supplement, extended-A.
 _ARABIC_RANGES = ((0x0600, 0x06FF), (0x0750, 0x077F), (0x08A0, 0x08FF))
+_ARABIC_CLASS = "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _ARABIC_RANGES)
 # One Arabic-script character; equal to is_arabic_char on every code point.
-ARABIC_CHAR = re.compile(
-    "[" + "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _ARABIC_RANGES) + "]")
+ARABIC_CHAR = re.compile(f"[{_ARABIC_CLASS}]")
+# The letters among those code points, read from this Python's Unicode
+# tables: equal to is_arabic_char(c) and c.isalpha() on every code point.
+_ARABIC_LETTERS = "".join(chr(cp) for lo, hi in _ARABIC_RANGES
+                          for cp in range(lo, hi + 1) if chr(cp).isalpha())
+_ARABIC_LETTER_RUN = re.compile(f"[{_ARABIC_LETTERS}]+")
+# What arabic_ratio deletes before counting the letters outside the blocks.
+_ARABIC_OR_SPACE_RUN = re.compile(rf"[{_ARABIC_CLASS}\s]+")
 
 
 @dataclass
@@ -35,7 +42,7 @@ class Document:
     source: str | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class FilterConfig:
     """Document-level thresholds; permissive defaults, all overridable."""
 
@@ -45,12 +52,18 @@ class FilterConfig:
     max_mean_line_words: float | None = None
 
     def __post_init__(self):
-        if self.min_chars < 0 or self.min_words < 0:
-            raise ValueError("thresholds must be non-negative")
-        if not 0.0 <= self.min_arabic_ratio <= 1.0:
-            raise ValueError("min_arabic_ratio must be in [0, 1]")
-        if self.max_mean_line_words is not None and self.max_mean_line_words < 0:
-            raise ValueError("max_mean_line_words must be non-negative")
+        # 2.5 words, a ratio of True and a NaN threshold all compare without
+        # complaint but misbehave in filter_document; bool is an int subclass.
+        for name in ("min_chars", "min_words"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{name} must be a non-negative integer, not {value!r}")
+        ratio, limit = self.min_arabic_ratio, self.max_mean_line_words
+        if type(ratio) not in (int, float) or not 0 <= ratio <= 1:
+            raise ValueError(f"min_arabic_ratio must be a number in [0, 1], not {ratio!r}")
+        if limit is not None and (type(limit) not in (int, float) or not limit >= 0):
+            raise ValueError(f"max_mean_line_words must be null or a non-negative number, "
+                             f"not {limit!r}")
 
 
 @dataclass
@@ -95,9 +108,13 @@ def arabic_ratio(text: str) -> float:
 
     Digits and punctuation are excluded from both numerator and
     denominator; returns 0.0 when the text has no alphabetic codepoints.
+    Counted by runs: the Arabic letters are the lengths of the runs of
+    the block's letter class, and the other letters are str.isalpha over
+    what is left once the blocks and whitespace are deleted. Both counts,
+    and so the ratio, equal the per-character definition on every string.
     """
-    alpha = sum(map(str.isalpha, text))
-    arabic = sum(map(str.isalpha, "".join(ARABIC_CHAR.findall(text))))
+    arabic = sum(map(len, _ARABIC_LETTER_RUN.findall(text)))
+    alpha = arabic + sum(map(str.isalpha, _ARABIC_OR_SPACE_RUN.sub("", text)))
     return arabic / alpha if alpha else 0.0
 
 
@@ -110,19 +127,20 @@ def filter_document(doc: Document, cfg: FilterConfig | None = None) -> FilterVer
     """
     cfg = cfg or FilterConfig()
     text = doc.text
-    if not text.strip():
+    if not text or text.isspace():
         return FilterVerdict(False, REJECT_EMPTY)
     if len(text) < cfg.min_chars:
         return FilterVerdict(False, REJECT_TOO_SHORT)
-    words = text.split()
-    if len(words) < cfg.min_words:
+    # At most min_words pieces: fewer only when the text has fewer words.
+    if cfg.min_words and len(text.split(None, cfg.min_words - 1)) < cfg.min_words:
         return FilterVerdict(False, REJECT_TOO_SHORT)
     if arabic_ratio(text) < cfg.min_arabic_ratio:
         return FilterVerdict(False, REJECT_LOW_ARABIC)
     if cfg.max_mean_line_words is not None:
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        mean = sum(len(ln.split()) for ln in lines) / len(lines)
-        if mean < cfg.max_mean_line_words:
+        # Every line separator is whitespace to str.split, so no word
+        # spans two lines and the words of the whole text are the lines' words.
+        lines = sum(1 for ln in text.splitlines() if ln and not ln.isspace())
+        if len(text.split()) / lines < cfg.max_mean_line_words:
             return FilterVerdict(False, REJECT_NAVIGATION)
     return FilterVerdict(True)
 
@@ -150,7 +168,7 @@ def load_documents(
 def _load_jsonl(path: Path, stats: IngestStats | None) -> Iterator[Document]:
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
-            if not line.strip():
+            if line.isspace():  # file iteration yields no empty line
                 continue
             try:
                 record = json.loads(line)
@@ -165,7 +183,7 @@ def _load_jsonl(path: Path, stats: IngestStats | None) -> Iterator[Document]:
             if stats is not None:
                 stats.read += 1
             yield Document(
-                id=str(record.get("id", f"{path.name}:{lineno}")),
+                id=str(record["id"]) if "id" in record else f"{path.name}:{lineno}",
                 text=text,
                 source=record.get("source"),
             )

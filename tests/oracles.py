@@ -12,13 +12,23 @@ gated passes; oracle_bpe_symbols replays merges on symbol strings with a
 full rescan per round, the reference for the id replay of the bpe
 encoders; oracle_wordpiece_ids tries every piece length at every start,
 the reference for the wordpiece encoder; oracle_segment_word scans the whole clitic table at every
-step, the reference for artok.morphseg.segment_word's indexed table.
+step, the reference for artok.morphseg.segment_word's indexed table;
+oracle_filter_document tests every character one at a time, the
+reference for artok.corpus.filter_document's run counts.
 """
 
 import re
 from collections import Counter
 from fractions import Fraction
 
+from artok.corpus import (
+    REJECT_EMPTY,
+    REJECT_LOW_ARABIC,
+    REJECT_NAVIGATION,
+    REJECT_TOO_SHORT,
+    FilterConfig,
+    FilterVerdict,
+)
 from artok.morphseg import MAX_PROCLITIC_SEGMENTS, MIN_STEM_LEN, Segmentation, _proclitic_parts
 from artok.subword import (
     CONT_PREFIX,
@@ -295,3 +305,34 @@ def oracle_segment_word(word, table):
             rest = rest[: -len(form)]
             break
     return Segmentation(word=word, segments=prefix + [rest] + suffix)
+
+
+_ARABIC_CHAR = re.compile("[\u0600-\u06ff\u0750-\u077f\u08a0-\u08ff]")
+
+
+def oracle_arabic_ratio(text):
+    alpha = sum(map(str.isalpha, text))
+    arabic = sum(map(str.isalpha, "".join(_ARABIC_CHAR.findall(text))))
+    return arabic / alpha if alpha else 0.0
+
+
+def oracle_filter_document(doc, cfg=None):
+    """The filter with a full word split, a split per line and a ratio
+    that tests each character."""
+    cfg = cfg or FilterConfig()
+    text = doc.text
+    if not text.strip():
+        return FilterVerdict(False, REJECT_EMPTY)
+    if len(text) < cfg.min_chars:
+        return FilterVerdict(False, REJECT_TOO_SHORT)
+    words = text.split()
+    if len(words) < cfg.min_words:
+        return FilterVerdict(False, REJECT_TOO_SHORT)
+    if oracle_arabic_ratio(text) < cfg.min_arabic_ratio:
+        return FilterVerdict(False, REJECT_LOW_ARABIC)
+    if cfg.max_mean_line_words is not None:
+        lines = [ln for ln in text.splitlines() if ln.strip()]
+        mean = sum(len(ln.split()) for ln in lines) / len(lines)
+        if mean < cfg.max_mean_line_words:
+            return FilterVerdict(False, REJECT_NAVIGATION)
+    return FilterVerdict(True)

@@ -318,6 +318,18 @@ def test_a_repeat_cap_above_the_ceiling_is_a_data_error(tmp_path, corpus_path, w
     assert "repeat_cap must be between 1 and 1000, not 200000" in caplog.text
 
 
+@pytest.mark.parametrize("flag, value", [("--max-mean-line-words", "nan"),
+                                         ("--min-words", "-1")])
+def test_a_bad_filter_threshold_is_a_data_error(tmp_path, corpus_path, capsys, caplog,
+                                                flag, value):
+    rc, out, err = run(capsys, "preprocess", "--input", str(corpus_path), "--output",
+                       str(tmp_path / "clean.jsonl"), flag, value)
+    assert rc == 2
+    assert out == "" and "Traceback" not in err
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and flag[2:].replace("-", "_") + " must be" in errors[0]
+
+
 def test_a_clitic_table_with_a_string_field_is_a_data_error(tmp_path, capsys, caplog):
     path = tmp_path / "clitics.json"
     path.write_text(json.dumps({"proclitics": "وال", "enclitics": "ها"}, ensure_ascii=False),

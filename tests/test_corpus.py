@@ -1,7 +1,10 @@
+import dataclasses
 import json
+import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from oracles import oracle_filter_document
 
 from artok.corpus import (
     Document,
@@ -66,6 +69,17 @@ def test_load_jsonl_missing_text_field_is_malformed(tmp_path):
     assert stats.skipped_malformed == 1
 
 
+def test_load_jsonl_ids_blank_lines_and_non_object_records(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"text": "a", "id": 7}\n \t\n\n[1]\n"text"\n{"text": "b"}\n'
+                    '{"text": "c", "id": null}', encoding="utf-8")
+    stats = IngestStats()
+    docs = list(load_documents(path, "jsonl", stats))
+    assert [d.id for d in docs] == ["7", "c.jsonl:6", "None"]
+    assert stats.summary() == {"read": 3, "kept": 0, "skipped_malformed": 2,
+                               "rejected_by_reason": {}}
+
+
 def test_load_jsonl_non_string_text_is_malformed(tmp_path):
     # str() used to turn these into the documents "None", "['كتب']" and "5"
     path = tmp_path / "c.jsonl"
@@ -128,6 +142,37 @@ def test_filter_config_validation():
         FilterConfig(min_arabic_ratio=1.5)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("min_chars", 2.5), ("min_chars", True), ("min_chars", "50"),
+    ("min_words", 2.5), ("min_words", True), ("min_words", -1),
+    ("min_arabic_ratio", True), ("min_arabic_ratio", "0.5"), ("min_arabic_ratio", math.nan),
+    ("max_mean_line_words", math.nan), ("max_mean_line_words", False),
+    ("max_mean_line_words", "3"), ("max_mean_line_words", -0.5),
+])
+def test_filter_config_rejects_a_bad_value_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        FilterConfig(**{field: value})
+
+
+def test_filter_config_accepts_ints_and_floats_and_is_frozen():
+    cfg = FilterConfig(min_chars=0, min_words=0, min_arabic_ratio=0, max_mean_line_words=3)
+    assert FilterConfig(min_arabic_ratio=1.0, max_mean_line_words=2.5).max_mean_line_words == 2.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.min_words = 5
+
+
+def test_every_line_separator_is_whitespace_to_split():
+    # the navigation mean divides the whole text's words by its non-blank
+    # lines, which needs every str.splitlines separator to split words too
+    seps = [chr(cp) for cp in range(0x110000) if chr(cp).splitlines() == [""]]
+    assert seps == list("\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029")
+    for sep in seps + ["\r\n"]:
+        text = f"كتاب{sep}جديد {sep}{sep} عن"
+        assert text.split() == ["كتاب", "جديد", "عن"]
+        lines = [ln.split() for ln in text.splitlines() if ln.strip()]
+        assert lines == [["كتاب"], ["جديد"], ["عن"]]
+
+
 def test_filter_stream_tallies(tmp_path):
     docs = [
         Document(id="1", text=ARABIC_DOC),
@@ -180,3 +225,44 @@ def test_arabic_ratio_matches_per_character_definition(text):
     alpha = [ch for ch in text if ch.isalpha()]
     arabic = sum(map(is_arabic_char, alpha))
     assert arabic_ratio(text) == (arabic / len(alpha) if alpha else 0.0)
+
+
+# Arabic letters, diacritics, tatweel, both Arabic-Indic digit sets, letters
+# just outside the counted blocks, Latin, punctuation, and every whitespace
+# and line-separator kind str.split and str.splitlines know.
+FILTER_ALPHABET = ("كتابمدينةءى" "\u064b\u064e\u0650\u0652\u0670" "\u0640"
+                   "٠١٩" "۰۴۹" "\u08a0\u08ff\ufb50\ufe70\u0780"
+                   "abcXYZ" "0123.,!?؛،-" " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0"
+                   "\u2028\u2029\u3000")
+FILTER_CONFIGS = st.builds(
+    FilterConfig,
+    min_chars=st.integers(0, 60),
+    min_words=st.integers(0, 8),
+    min_arabic_ratio=st.sampled_from([0, 0.3, 0.5, 1]),
+    max_mean_line_words=st.one_of(st.none(), st.integers(0, 4)),
+)
+RELAXED = dict(min_chars=0, min_words=0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.text(alphabet=FILTER_ALPHABET, max_size=120), cfg=FILTER_CONFIGS)
+# marks inside the block are no letters: "a" + mark has ratio 0, not 1/2
+@example(text="a\u064b\u064c\u064d\u064e\u064f\u0650\u0651\u0652\u0670",
+         cfg=FilterConfig(**RELAXED, min_arabic_ratio=0.5))
+@example(text="a\u0640", cfg=FilterConfig(**RELAXED, min_arabic_ratio=0.5))  # tatweel is one
+@example(text="a\u0660", cfg=FilterConfig(**RELAXED, min_arabic_ratio=0.5))
+@example(text="a\u06f0", cfg=FilterConfig(**RELAXED, min_arabic_ratio=0.5))
+# letters outside the ranges count in the denominator only
+@example(text="ك\ufb50", cfg=FilterConfig(**RELAXED, min_arabic_ratio=1))
+@example(text="ك\ufe70", cfg=FilterConfig(**RELAXED, min_arabic_ratio=1))
+@example(text="a\u08a0", cfg=FilterConfig(**RELAXED, min_arabic_ratio=0.5))
+@example(text="a\u08ff", cfg=FilterConfig(**RELAXED, min_arabic_ratio=0.5))
+@example(text="\x1c", cfg=FilterConfig(**RELAXED, min_arabic_ratio=0))
+@example(text="كتب\x1cكتب", cfg=FilterConfig(**RELAXED, min_arabic_ratio=0,
+                                               max_mean_line_words=2))
+@example(text="", cfg=FilterConfig(**RELAXED, min_arabic_ratio=0))
+@example(text="   كتاب", cfg=FilterConfig(min_chars=0, min_words=1, min_arabic_ratio=0))
+@example(text="   كتاب", cfg=FilterConfig(min_chars=0, min_words=2, min_arabic_ratio=0))
+def test_filter_document_matches_the_per_character_oracle(text, cfg):
+    doc = Document(id="d", text=text)
+    assert filter_document(doc, cfg) == oracle_filter_document(doc, cfg)

@@ -5,7 +5,7 @@ from dataclasses import FrozenInstanceError, replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from artok.corpus import ARABIC_CHAR, is_arabic_char
+from artok.corpus import ARABIC_CHAR, _ARABIC_LETTER_RUN, _ARABIC_OR_SPACE_RUN, is_arabic_char
 from artok.morphseg import (
     DEFAULT_ENCLITICS,
     DEFAULT_PROCLITICS,
@@ -217,6 +217,11 @@ def test_script_and_whitespace_checks_agree_with_per_character_checks():
     chars = [chr(cp) for cp in range(0x110000)]
     everything = "".join(chars)
     assert ARABIC_CHAR.findall(everything) == [c for c in chars if is_arabic_char(c)]
+    # arabic_ratio's run classes: the block's letters, and the block or whitespace
+    assert "".join(_ARABIC_LETTER_RUN.findall(everything)) == "".join(
+        c for c in chars if is_arabic_char(c) and c.isalpha())
+    assert _ARABIC_OR_SPACE_RUN.sub("", everything) == "".join(
+        c for c in chars if not (is_arabic_char(c) or c.isspace()))
     assert "".join(everything.split()) == "".join(c for c in chars if not c.isspace())
     for word in [""] + ["كتا" + c + "ب" for c in chars if c.isspace()]:
         with pytest.raises(ValueError):
