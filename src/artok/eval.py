@@ -23,7 +23,7 @@ from concurrent.futures.process import BrokenProcessPool
 from collections import Counter
 from dataclasses import dataclass, asdict
 from itertools import chain, compress, repeat
-from operator import attrgetter, mul
+from operator import countOf, mul
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -34,8 +34,6 @@ from .subword import (
     FORMAT_VERSION,
     KIND_BPE,
     KIND_BPE_MORPH,
-    KIND_WORDLEVEL,
-    KIND_WORDPIECE,
     UNK_ID,
     ALL_KINDS,
     TokenizerModel,
@@ -43,7 +41,6 @@ from .subword import (
     _merge_replay,
     _segment_counts,
     _segments,
-    _wordpiece_pieces,
     atomic_write_text,
     count_pretokens,
     decode,
@@ -93,40 +90,50 @@ def evaluate_model(model: TokenizerModel, corpus: Iterable[Document]) -> Metrics
     on the documents' normalized words."""
     start = time.perf_counter()
     words = _count_words(corpus, model.normalizer)
-    return evaluate_sizes([model], words, time.perf_counter() - start)[0]
+    return evaluate_sizes(model, [model.vocab_size], words, time.perf_counter() - start)[0]
 
 
-def evaluate_sizes(models: Sequence[TokenizerModel], words: Counter,
+def evaluate_sizes(model: TokenizerModel, sizes: Sequence[int], words: Counter,
                    normalize_s: float = 0.0) -> list[MetricsRow]:
-    """The metrics of one kind's models at several sizes, a row per
-    model in the order given, from `words`, a held-out split's normalized
-    words and their counts (`count_pretokens` of kind "bpe" counts them),
-    and `normalize_s`, the seconds that counting took.
+    """The metrics of `model` truncated to each of `sizes` (`truncate_model`,
+    whose ValueError a size below the floor raises), a row per size in
+    the order given, from `words`, a held-out split's normalized words and
+    their counts (`count_pretokens` of kind "bpe" counts them), and
+    `normalize_s`, the seconds that counting took.
 
-    Every model must be the largest truncated to its size
-    (`truncate_model`), else ValueError. Each count is a sum over
-    distinct words weighted by their counts, and a word holding [UNK]
-    counts as not covered. wordlevel looks each word up once per size
-    and wordpiece matches it once per size. bpe replays each distinct
-    word once on the largest model, and bpe_morph each distinct clitic
-    segment of the words: in stages, all of them up to the smallest
-    model's merge count, then on to the next, where `_merge_replay`
-    stops each exactly as that size's model would. A row's seconds, its
+    Each count is a sum over distinct words weighted by their counts, and
+    a word holding [UNK] counts as not covered. wordlevel and wordpiece
+    pass each distinct word through each size's own word encoder
+    (`encode_word`). bpe replays each distinct word once on the largest
+    truncation, and bpe_morph each distinct clitic segment of the words:
+    in stages, all of them up to the smallest size's merge count, then on
+    to the next, where `_merge_replay` stops each exactly as that size's
+    model would; so a merge list that repeats a pair raises ValueError
+    when more than one merge count is staged. A row's seconds, its
     `words_per_sec` denominator, are `normalize_s`, the segmenting of
     bpe_morph words, and the stages up to its size or, for wordlevel and
     wordpiece, its own pass."""
-    largest = max(models, key=attrgetter("vocab_size"))
-    _check_truncations(models, largest)
+    if not sizes:
+        raise ValueError("sizes must be non-empty")
+    models = [truncate_model(model, v) for v in sizes]
+    by_size = {m.vocab_size: m for m in models}
+    ascending = [by_size[v] for v in sorted(by_size)]
+    top = ascending[-1]
+    staged = top.kind in (KIND_BPE, KIND_BPE_MORPH)
+    if staged and len(ascending) > 1 and len(set(top.merges)) < len(top.merges):
+        # a repeated pair replays at its later rank, which a smaller model
+        # whose merges hold only the earlier one does not
+        raise ValueError("a merge list that repeats a pair cannot be evaluated in stages")
     n_words = sum(words.values())
     if n_words == 0:
         raise ValueError("corpus has no words after normalization")
     start = time.perf_counter()
     counts = list(words.values())
-    if largest.kind == KIND_BPE_MORPH:
+    if top.kind == KIND_BPE_MORPH:
         # pieces are the distinct segments; each word holds their indexes
         index: dict[str, int] = {}
         word_pieces = [[index.setdefault(seg, len(index))
-                        for seg in _segments(word, largest.clitic_table)] for word in words]
+                        for seg in _segments(word, top.clitic_table)] for word in words]
         pieces = list(index)
         freqs = [0] * len(pieces)
         for js, n in zip(word_pieces, counts):
@@ -136,11 +143,13 @@ def evaluate_sizes(models: Sequence[TokenizerModel], words: Counter,
         pieces, freqs, word_pieces = list(words), counts, None
     clock = time.perf_counter()
     shared_s = normalize_s + clock - start
-    staged = largest.kind in (KIND_BPE, KIND_BPE_MORPH)
+    passes = (_staged_ids(top, ascending, pieces) if staged else
+              ((m.vocab_size, list(map(m.encode_word, pieces)), UNK_ID) for m in ascending))
     pass_s = 0.0
     tallies = {}
-    by_size = {m.vocab_size: m for m in models}
-    for v, lens, unks in _piece_tokens(largest, [by_size[v] for v in sorted(by_size)], pieces):
+    for v, idss, unk_id in passes:
+        lens = list(map(len, idss))
+        unks = list(map(countOf, idss, repeat(unk_id)))
         if word_pieces is None:
             unk_words = sum(compress(counts, unks))
         else:
@@ -153,11 +162,11 @@ def evaluate_sizes(models: Sequence[TokenizerModel], words: Counter,
         clock = now
         tallies[v] = (tokens, unk, unk_words, shared_s + pass_s)
     rows = []
-    for model in models:
-        tokens, unk, unk_words, seconds = tallies[model.vocab_size]
+    for m in models:
+        tokens, unk, unk_words, seconds = tallies[m.vocab_size]
         rows.append(MetricsRow(
-            kind=model.kind,
-            vocab_size=model.vocab_size,
+            kind=m.kind,
+            vocab_size=m.vocab_size,
             token_to_word=tokens / n_words,
             unk_rate=unk / tokens if tokens else 0.0,
             coverage=(n_words - unk_words) / n_words,
@@ -167,58 +176,24 @@ def evaluate_sizes(models: Sequence[TokenizerModel], words: Counter,
     return rows
 
 
-def _check_truncations(models: Sequence[TokenizerModel], largest: TokenizerModel) -> None:
-    """ValueError unless each model is `largest` truncated to its size,
-    and, for a staged replay, unless the largest merges no pair twice: a
-    repeated pair replays at its later rank, which a smaller model whose
-    merges hold only the earlier one does not."""
-    floor = largest.vocab_size - len(largest.merges)
-    same = (largest.kind, largest.normalizer, largest.clitic_table)
-    for model in models:
+def _staged_ids(top: TokenizerModel, ascending: Sequence[TokenizerModel],
+                pieces: Sequence[str]) -> Iterator[tuple[int, list[list[int]], int]]:
+    """The bpe replay of every piece on `top`, in stages: for each model
+    in ascending size, its size, the pieces' ids as that model encodes
+    them, and the id that stands for a character absent from the vocab.
+    A stage runs as it is pulled, and the next one goes on from the same
+    lists."""
+    start, replay = _merge_replay(top.token_ids, top.merge_ids)
+    # each piece's ids list then its ranks list: the start tuples go at
+    # once, so the collector has two lists a piece to track, not three
+    states = list(chain.from_iterable(map(start, pieces)))
+    idss = states[::2]
+    for model in ascending:
         cut = len(model.merges)
-        if ((model.kind, model.normalizer, model.clitic_table) != same
-                or model.vocab != largest.vocab[:model.vocab_size]
-                or model.merges != largest.merges[:cut]
-                or (model.kind != KIND_WORDLEVEL and model.vocab_size - cut != floor)):
-            raise ValueError(f"the {model.kind} model of size {model.vocab_size} is not the "
-                             f"{largest.kind} model of size {largest.vocab_size} truncated")
-    cuts = {len(model.merges) for model in models}
-    if (largest.kind in (KIND_BPE, KIND_BPE_MORPH) and len(cuts) > 1
-            and len(set(largest.merges)) < len(largest.merges)):
-        raise ValueError("a merge list that repeats a pair cannot be evaluated in stages")
-
-
-def _piece_tokens(largest: TokenizerModel, ascending: Sequence[TokenizerModel],
-                  pieces: Sequence[str]) -> Iterator[tuple[int, Iterable[int], list[int]]]:
-    """For each model in ascending size: its size, and the number of
-    tokens and of [UNK]s it encodes each piece to."""
-    if largest.kind == KIND_WORDLEVEL:
-        get = largest.token_ids.get
-        for model in ascending:
-            v = model.vocab_size
-            yield v, repeat(1), [i == UNK_ID or i >= v for i in map(get, pieces, repeat(UNK_ID))]
-    elif largest.kind == KIND_WORDPIECE:
-        for model in ascending:
-            lens, unks = [], []
-            for piece in pieces:
-                ids = _wordpiece_pieces(piece, model.token_ids)
-                lens.append(len(ids))
-                unks.append(ids.count(UNK_ID))
-            yield model.vocab_size, lens, unks
-    else:
-        start, replay = _merge_replay(largest.token_ids, largest.merge_ids)
-        # each piece's ids list then its ranks list: the start tuples go at
-        # once, so the collector has two lists a piece to track, not three
-        states = list(chain.from_iterable(map(start, pieces)))
-        idss = states[::2]
-        # a character absent from the vocab, which no merge takes
-        unknown = largest.vocab_size
-        for model in ascending:
-            cut = len(model.merges)
-            for ids, ranks in zip(idss, states[1::2]):
-                replay(ids, ranks, cut)
-            yield model.vocab_size, list(map(len, idss)), list(map(list.count, idss,
-                                                                   repeat(unknown)))
+        for ids, ranks in zip(idss, states[1::2]):
+            replay(ids, ranks, cut)
+        # absent characters, which no merge takes, hold top.vocab_size
+        yield model.vocab_size, idss, top.vocab_size
 
 
 def split_eval_docs(docs: Sequence[Document]):
@@ -246,7 +221,7 @@ def train_model(
     train_from_pretokens."""
     normalizer = normalizer or NormalizerConfig()
     clitic_table = clitic_table or CliticTable()
-    pretokens = count_pretokens(docs, _family(kind), normalizer, clitic_table)
+    pretokens = count_pretokens(docs, kind, normalizer, clitic_table)
     return train_from_pretokens(pretokens, kind, vocab_size, normalizer, clitic_table)
 
 
@@ -313,18 +288,30 @@ def compare_grid(
     clitic counts when bpe_morph trains. Then, with workers > 1 and at
     least two kinds to train, a worker_pool of min(workers, kinds to
     train) processes trains them side by side while this process counts
-    the held-out split's words once and truncates, saves and evaluates
-    (`evaluate_sizes`) each model in `kinds` order; otherwise all of it
-    runs here. With
-    models_dir set, each bundle is written there beside a `.key` file
-    fingerprinting the training inputs, and a kind whose largest bundle
-    carries the current key is re-loaded instead of retrained.
+    the held-out split's words once and evaluates (`evaluate_sizes`) each
+    model at every size, in `kinds` order; otherwise all of it runs here.
+    With models_dir set, each size's truncation is saved there beside a
+    `.key` file fingerprinting the training inputs, and a kind whose
+    largest bundle carries the current key is re-loaded instead of
+    retrained.
+
+    Empty `kinds` or `sizes`, an unknown or repeated kind, a repeated
+    size and `workers` below 1 raise ValueError naming the value.
     """
+    if not kinds:
+        raise ValueError("kinds must be non-empty")
     if not sizes:
         raise ValueError("sizes must be non-empty")
-    for kind in kinds:
+    for i, kind in enumerate(kinds):
         if kind not in ALL_KINDS:
             raise ValueError(f"unknown tokenizer kind: {kind!r}")
+        if kind in kinds[:i]:
+            raise ValueError(f"tokenizer kind {kind!r} is given twice")
+    for i, v in enumerate(sizes):
+        if v in sizes[:i]:
+            raise ValueError(f"vocab size {v!r} is given twice")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, not {workers!r}")
     normalizer = normalizer or NormalizerConfig()
     clitic_table = clitic_table or CliticTable()
     docs = list(corpus)
@@ -339,10 +326,9 @@ def compare_grid(
         key = _inputs_key(train_docs, normalizer, clitic_table)
     untrained = [kind for kind in kinds
                  if key is None or not _is_cached(models_dir, kind, v_max, key)]
-    # The training split is normalized once, into the plain family's counts.
-    pretokens = {}
+    # The training split is normalized once, into word counts.
     if untrained:
-        pretokens[KIND_BPE] = count_pretokens(train_docs, KIND_BPE, normalizer)
+        words = count_pretokens(train_docs, KIND_BPE, normalizer)
         log.info("training %s @ %d", ", ".join(untrained), v_max)
     rows: list[MetricsRow] = []
     spread: dict[str, float] = {}
@@ -352,11 +338,10 @@ def compare_grid(
         # on the pool, or without one in-process when called
         jobs = {}
         for kind in untrained:
-            if _family(kind) not in pretokens:
-                # segmented from the word counts once the jobs before this
-                # one are on the pool, which then trains while it runs
-                pretokens[KIND_BPE_MORPH] = _segment_counts(pretokens[KIND_BPE], clitic_table)
-            args = (pretokens[_family(kind)], kind, v_max, normalizer, clitic_table)
+            # bpe_morph's are segmented from the word counts once the jobs
+            # before it are on the pool, which then trains while it runs
+            pretokens = _segment_counts(words, clitic_table) if kind == KIND_BPE_MORPH else words
+            args = (pretokens, kind, v_max, normalizer, clitic_table)
             jobs[kind] = (functools.partial(_train_cell, *args) if pool is None
                           else pool.submit(_train_cell, *args).result)
         start = time.perf_counter()
@@ -372,25 +357,17 @@ def compare_grid(
                     path = _cache_path(models_dir, kind, v_max)
                     log.info("loading cached model %s", path)
                     model_max = load_model(path)
-                models = []
                 for v in sizes:
-                    model_v = truncate_model(model_max, v)
                     if key is not None and (kind in jobs
                                             or not _is_cached(models_dir, kind, v, key)):
-                        _cache_save(model_v, models_dir, kind, v, key)
-                    models.append(model_v)
+                        _cache_save(truncate_model(model_max, v), models_dir, kind, v, key)
                 log.info("evaluating %s @ %s", kind, ", ".join(map(str, sizes)))
-                kind_rows = evaluate_sizes(models, eval_words, normalize_s)
+                kind_rows = evaluate_sizes(model_max, sizes, eval_words, normalize_s)
             except Exception as exc:
                 raise RuntimeError(f"grid cell kind={kind} sizes={list(sizes)} failed: {exc}") from exc
             rows.extend(kind_rows)
             spread[kind] = _relative_spread([row.token_to_word for row in kind_rows])
     return ComparisonReport(rows=rows, corpus_id=corpus_id, spread=spread)
-
-
-def _family(kind: str) -> str:
-    """Pre-token family: clitic segments for bpe_morph, plain words otherwise."""
-    return KIND_BPE_MORPH if kind == KIND_BPE_MORPH else KIND_BPE
 
 
 def _train_cell(pretokens, kind, vocab_size, normalizer, clitic_table):

@@ -69,14 +69,27 @@ class CliticTable:
     (enclitics) with, in table order: first char -> [(form, may_stack,
     marked parts)] and last char -> [(form, marked form)]. It is no
     dataclass field, so equality and `to_dict` see only the forms;
-    `dataclasses.replace` derives a new table with its own index."""
+    `dataclasses.replace` derives a new table with its own index. A
+    proclitic that is no (string, bool) pair (tuple or list), an enclitic
+    that is no string and an empty form raise ValueError."""
 
     proclitics: tuple[tuple[str, bool], ...] = DEFAULT_PROCLITICS
     enclitics: tuple[str, ...] = DEFAULT_ENCLITICS
 
     def __post_init__(self):
-        proclitics = tuple((str(f), bool(s)) for f, s in self.proclitics)
-        enclitics = tuple(str(f) for f in self.enclitics)
+        for entry in self.proclitics:
+            if isinstance(entry, str):
+                # the JSON shorthand, which from_dict expands to a pair
+                raise ValueError(f"proclitic must be a [string, bool] pair, not {entry!r}")
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 2
+                    and isinstance(entry[0], str) and isinstance(entry[1], bool)):
+                raise ValueError(f"proclitic must be a string or a [string, bool] pair, "
+                                 f"not {entry!r}")
+        for entry in self.enclitics:
+            if not isinstance(entry, str):
+                raise ValueError(f"enclitic must be a string, not {entry!r}")
+        proclitics = tuple(map(tuple, self.proclitics))
+        enclitics = tuple(self.enclitics)
         if any(not f for f, _ in proclitics) or any(not f for f in enclitics):
             raise ValueError("clitic forms must be non-empty")
         pro: dict[str, list] = {}
@@ -109,19 +122,8 @@ class CliticTable:
             if not isinstance(d[field], list):
                 # a string would load as its single letters
                 raise ValueError(f"clitic table field {field!r} must be a JSON array")
-        pro = []
-        for entry in d["proclitics"]:
-            if isinstance(entry, str):
-                entry = [entry, True]
-            if not (isinstance(entry, list) and len(entry) == 2
-                    and isinstance(entry[0], str) and isinstance(entry[1], bool)):
-                raise ValueError(f"proclitic must be a string or a [string, bool] pair, "
-                                 f"not {entry!r}")
-            pro.append(tuple(entry))
-        for entry in d["enclitics"]:
-            if not isinstance(entry, str):
-                raise ValueError(f"enclitic must be a string, not {entry!r}")
-        return cls(proclitics=tuple(pro), enclitics=tuple(d["enclitics"]))
+        return cls(proclitics=[[e, True] if isinstance(e, str) else e for e in d["proclitics"]],
+                   enclitics=d["enclitics"])
 
     @classmethod
     def load(cls, path: str | Path) -> "CliticTable":

@@ -578,7 +578,9 @@ def truncate_model(model: TokenizerModel, vocab_size: int) -> TokenizerModel:
     the same corpus would have produced.
 
     Valid because merge selection never depends on the target size: the
-    smaller model's vocab and merge list are exact prefixes.
+    smaller model's vocab and merge list are exact prefixes. A size below
+    the floor raises ValueError; one that cuts nothing returns `model`
+    itself, which is frozen, so its encode-time tables are shared.
     """
     if model.kind == KIND_WORDLEVEL:
         # frequency-ranked vocab: the prefix is exactly the smaller model
@@ -590,5 +592,7 @@ def truncate_model(model: TokenizerModel, vocab_size: int) -> TokenizerModel:
         floor = len(model.vocab) - len(model.merges)
         if vocab_size < floor:
             raise ValueError(f"cannot truncate below specials + alphabet ({floor})")
+    if vocab_size >= model.vocab_size:
+        return model
     return replace(model, vocab=model.vocab[:vocab_size],
                    merges=model.merges[:vocab_size - floor])

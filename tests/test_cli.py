@@ -205,6 +205,20 @@ def test_compare_in_worker_processes_size_a_kind_cannot_train_is_a_data_error(
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--kinds", "bpe,bpe", "tokenizer kind 'bpe' is given twice"),
+    ("--sizes", "3000,3000", "vocab size 3000 is given twice"),
+], ids=["repeated-kind", "repeated-size"])
+def test_compare_with_a_repeated_kind_or_size_is_a_data_error(tmp_path, corpus_path, capsys,
+                                                             caplog, flag, value, message):
+    rc, out, err = run(capsys, "compare", "--corpus", str(corpus_path), flag, value,
+                       "--out-dir", str(tmp_path / "grid"))
+    assert rc == 2
+    assert out == "" and "Traceback" not in err
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [message]
+
+
 def test_config_file_merges_under_flags(tmp_path, corpus_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"vocab": 300, "kind": "wordlevel"}), encoding="utf-8")

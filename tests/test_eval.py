@@ -6,7 +6,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -122,34 +122,31 @@ HELD_WORDS = st.text(alphabet="والكتبمهاي", min_size=1, max_size=8)
 def test_evaluate_sizes_equals_encode_at_each_size(kind, train, held, data):
     largest = train_model(docs(*train), kind, 60)
     floor = len(SPECIALS) if kind == "wordlevel" else largest.vocab_size - len(largest.merges)
-    # sizes past the largest truncate to it, as a short model's do in a grid
+    # unsorted, with repeats; sizes past the largest truncate to it, as a
+    # short model's do in a grid
     sizes = data.draw(st.lists(st.integers(floor, largest.vocab_size + 3), min_size=1,
-                               max_size=4).map(sorted))
+                               max_size=5))
     models = [truncate_model(largest, v) for v in sizes]
     held_docs = docs(*held)
     words = count_pretokens(held_docs, "bpe", largest.normalizer)
     if not words:
         with pytest.raises(ValueError, match="no words"):
-            evaluate_sizes(models, words)
+            evaluate_sizes(largest, sizes, words)
         return
-    rows = evaluate_sizes(models, words, 0.0)
+    rows = evaluate_sizes(largest, sizes, words, 0.0)
+    assert [r.vocab_size for r in rows] == [min(v, largest.vocab_size) for v in sizes]
     assert [(r.kind, r.vocab_size, r.token_to_word, r.unk_rate, r.coverage, r.corpus_words)
             for r in rows] == [_encode_row(m, held_docs) for m in models]
     assert all(r.words_per_sec > 0 for r in rows)
 
 
-def test_evaluate_sizes_rejects_a_model_that_is_no_truncation_of_the_largest(small_corpus):
-    model = train_model(small_corpus, "bpe", 100)
-    words = count_pretokens(small_corpus, "bpe", model.normalizer)
-    other = train_model(small_corpus[:3], "bpe", 45)
-    unlike = [other,  # trained apart
-              replace(truncate_model(model, 90), normalizer=NormalizerConfig(repeat_cap=3)),
-              replace(truncate_model(model, 90), merges=model.merges[:20]),
-              train_model(small_corpus, "wordpiece", 90)]
-    for smaller in unlike:
-        with pytest.raises(ValueError, match="is not the bpe model of size 100 truncated"):
-            evaluate_sizes([smaller, model], words)
-    assert evaluate_sizes([other], words)[0].vocab_size == 45
+def test_evaluate_sizes_rejects_empty_sizes_and_a_size_below_the_floor():
+    model = train_from_pretokens(Counter({"كتاب": 3}), "bpe", 30)
+    words = Counter({"كتاب": 1})
+    with pytest.raises(ValueError, match="^sizes must be non-empty$"):
+        evaluate_sizes(model, [], words)
+    with pytest.raises(ValueError, match="cannot truncate below"):
+        evaluate_sizes(model, [model.vocab_size, 5], words)
 
 
 def test_evaluate_sizes_rejects_staging_a_merge_list_that_repeats_a_pair():
@@ -158,11 +155,12 @@ def test_evaluate_sizes_rejects_staging_a_merge_list_that_repeats_a_pair():
     vocab = [*SPECIALS, "ب", "##ب", "بب", "x"]
     largest = TokenizerModel(kind="bpe", vocab=vocab, merges=[("ب", "##ب")] * 2,
                              normalizer=NormalizerConfig())
-    smaller = truncate_model(largest, 8)
     words = Counter({"بب": 1})
     with pytest.raises(ValueError, match="repeats a pair"):
-        evaluate_sizes([smaller, largest], words)
-    assert [evaluate_sizes([m], words)[0].token_to_word for m in (smaller, largest)] == [1, 1]
+        evaluate_sizes(largest, [8, 9], words)
+    # one size alone stages on its own truncation, not on the largest,
+    # whose later duplicate would take the pair's rank
+    assert [evaluate_sizes(largest, [v], words)[0].token_to_word for v in (8, 9)] == [1, 1]
 
 
 def test_split_eval_docs_is_last_tenth():
@@ -485,11 +483,23 @@ def test_compare_grid_workers_exit_when_the_caller_is_killed(tmp_path):
     assert left == []
 
 
-def test_compare_grid_validates_arguments(small_corpus):
-    with pytest.raises(ValueError):
-        compare_grid(small_corpus, sizes=())
-    with pytest.raises(ValueError):
-        compare_grid(small_corpus, kinds=("nope",), sizes=(40,))
+def test_compare_grid_validates_arguments(small_corpus, monkeypatch):
+    # before any work: a repeated kind once trained twice and gave one
+    # cell's rows twice, and no kinds gave an empty report
+    def started(*args, **kwargs):
+        raise AssertionError("the grid started work")
+    monkeypatch.setattr(artok.eval, "count_pretokens", started)
+    for kwargs, message in [
+        ({"sizes": ()}, "sizes must be non-empty"),
+        ({"kinds": ("nope",)}, "unknown tokenizer kind: 'nope'"),
+        ({"kinds": ()}, "kinds must be non-empty"),
+        ({"kinds": ("bpe", "wordlevel", "bpe")}, "tokenizer kind 'bpe' is given twice"),
+        ({"sizes": (100, 60, 100)}, "vocab size 100 is given twice"),
+        ({"workers": 0}, "workers must be at least 1, not 0"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            compare_grid(small_corpus, **{"kinds": ("bpe",), "sizes": (60,), **kwargs})
+        assert str(exc.value) == message
 
 
 def test_compare_grid_annotates_cell_failures(small_corpus):

@@ -150,6 +150,23 @@ def test_table_rejects_a_missing_field_or_a_malformed_entry(data, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"proclitics": ["ال"]}, "proclitic must be a [string, bool] pair, not 'ال'"),
+    ({"proclitics": (("و", "no"),)},
+     "proclitic must be a string or a [string, bool] pair, not ('و', 'no')"),
+    ({"proclitics": (("و", True, False),)},
+     "proclitic must be a string or a [string, bool] pair, not ('و', True, False)"),
+    ({"enclitics": (5,)}, "enclitic must be a string, not 5"),
+], ids=["bare-form", "str-stack", "triple", "int-enclitic"])
+def test_a_table_that_exists_is_valid(fields, message):
+    # these were coerced: "ال" to ("ا", True), "no" to True and 5 to "5"
+    with pytest.raises(ValueError) as exc:
+        CliticTable(**fields)
+    assert str(exc.value) == message
+    table = CliticTable(proclitics=[["و", True]], enclitics=["ها"])
+    assert table.proclitics == (("و", True),) and table.enclitics == ("ها",)
+
+
 def test_table_rejects_empty_forms():
     with pytest.raises(ValueError):
         CliticTable(proclitics=(("", True),))

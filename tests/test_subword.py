@@ -1201,6 +1201,15 @@ def test_truncated_model_does_not_share_encoder_state():
         assert encode(small, word).ids == encode(fresh, word).ids != big_ids, kind
 
 
+def test_truncating_to_no_smaller_size_returns_the_model_itself():
+    pretokens = Counter({"وقال": 9, "قالها": 7, "كتاب": 6, "الكتاب": 5})
+    for kind in ("bpe", "wordpiece", "wordlevel"):
+        big = train_from_pretokens(pretokens, kind, 40)
+        assert truncate_model(big, big.vocab_size) is big, kind
+        assert truncate_model(big, big.vocab_size + 3) is big, kind
+        assert truncate_model(big, big.vocab_size - 1) is not big, kind
+
+
 def test_merge_prefix_monotonicity_small():
     pretokens = Counter({"وقال": 9, "قالها": 7, "كتاب": 6, "الكتاب": 5, "قلمنا": 4})
     m_small = train_from_pretokens(pretokens, "bpe", 35)
