@@ -78,13 +78,8 @@ class CliticTable:
 
     def __post_init__(self):
         for entry in self.proclitics:
-            if isinstance(entry, str):
-                # the JSON shorthand, which from_dict expands to a pair
+            if not _is_proclitic_pair(entry):
                 raise ValueError(f"proclitic must be a [string, bool] pair, not {entry!r}")
-            if not (isinstance(entry, (tuple, list)) and len(entry) == 2
-                    and isinstance(entry[0], str) and isinstance(entry[1], bool)):
-                raise ValueError(f"proclitic must be a string or a [string, bool] pair, "
-                                 f"not {entry!r}")
         for entry in self.enclitics:
             if not isinstance(entry, str):
                 raise ValueError(f"enclitic must be a string, not {entry!r}")
@@ -122,6 +117,10 @@ class CliticTable:
             if not isinstance(d[field], list):
                 # a string would load as its single letters
                 raise ValueError(f"clitic table field {field!r} must be a JSON array")
+        for entry in d["proclitics"]:
+            if not (isinstance(entry, str) or _is_proclitic_pair(entry)):
+                raise ValueError(f"proclitic must be a string or a [string, bool] pair, "
+                                 f"not {entry!r}")
         return cls(proclitics=[[e, True] if isinstance(e, str) else e for e in d["proclitics"]],
                    enclitics=d["enclitics"])
 
@@ -129,6 +128,11 @@ class CliticTable:
     def load(cls, path: str | Path) -> "CliticTable":
         with open(path, encoding="utf-8") as f:
             return cls.from_dict(json.load(f))
+
+
+def _is_proclitic_pair(entry) -> bool:
+    return (isinstance(entry, (tuple, list)) and len(entry) == 2
+            and isinstance(entry[0], str) and isinstance(entry[1], bool))
 
 
 def _proclitic_parts(form: str) -> tuple[str, ...]:
@@ -185,7 +189,7 @@ def _segmentable(word: str) -> bool:
     return "+" not in word and ARABIC_CHAR.search(word) is not None
 
 
-def desegment_text(segmented: str) -> str:
+def desegment_text(segmented: str, *, regular: bool = False) -> str:
     """Invert clitic segmentation of space-joined segments: glue "X+" to
     the next token and "+X" to the previous one, stripping markers.
 
@@ -196,14 +200,15 @@ def desegment_text(segmented: str) -> str:
     dangling at either end or between a proclitic and an enclitic, no
     token marked at both ends) takes two C-level replaces, which give
     exactly what the token loop below gives; any other text goes
-    through that loop.
+    through that loop. A caller that knows the text is printable and
+    single-space separated (decode, from the model's pieces) passes
+    `regular=True`, and those two scans are skipped.
     """
     if (
-        "  " not in segmented
+        (regular or ("  " not in segmented and segmented.isprintable()))
         and "+ +" not in segmented
         and not segmented.startswith(("+", " "))
         and not segmented.endswith(("+", " "))
-        and segmented.isprintable()
         and _BOTH_ENDS_MARKED.search(segmented) is None
     ):
         return segmented.replace("+ ", "").replace(" +", "")

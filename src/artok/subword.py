@@ -164,14 +164,18 @@ class TokenizerModel:
         return _tabled(self.encode_word, self.normalizer)
 
     @cached_property
-    def decode_table(self) -> tuple[list[str], list[int | None]]:
-        """(pieces, lead_cut), indexed by id: the piece decode joins,
-        and how many leading characters to cut when the id is the first
-        one kept. A word-start token's piece is " " + token and cuts 1;
-        a continuation's is the token without its prefix and cuts 0 (it
-        opens the first word bare, even when empty); a dropped reserved
-        token's is "" and cuts None. Built on first use, so loading and
-        encoding never pay for it."""
+    def decode_table(self) -> tuple[list[str], list[int | None], bool]:
+        """(pieces, lead_cut, regular). pieces and lead_cut are indexed by
+        id: the piece decode joins, and how many leading characters to cut
+        when the id is the first one kept. A word-start token's piece is
+        " " + token and cuts 1; a continuation's is the token without its
+        prefix and cuts 0 (it opens the first word bare, even when empty);
+        a dropped reserved token's is "" and cuts None. `regular` is one
+        fact about the model: every token is printable and free of
+        whitespace, and no word start is empty. Then any joined ids are
+        printable text with single spaces between words, which
+        `desegment_text` need not scan for. Built on first use, so loading
+        and encoding never pay for it."""
         dropped = set(SPECIALS) - {UNK_TOKEN}
         pieces: list[str] = []
         lead_cut: list[int | None] = []
@@ -185,7 +189,11 @@ class TokenizerModel:
             else:
                 pieces.append(" " + tok)
                 lead_cut.append(1)
-        return pieces, lead_cut
+        joined = "".join(pieces)
+        # each word start brings its one space, and " " + "" would double one
+        regular = (joined.isprintable() and joined.count(" ") == lead_cut.count(1)
+                   and " " not in pieces)
+        return pieces, lead_cut, regular
 
 
 _FIRST = itemgetter(0)
@@ -429,19 +437,33 @@ def encode(model: TokenizerModel, text: str) -> Encoding:
 def decode(model: TokenizerModel, ids: Iterable[int]) -> str:
     """Map ids back to text: continuations glue to the previous piece,
     other tokens join with single spaces, reserved tokens other than
-    [UNK] drop, and morph segment markers are resolved afterwards."""
-    pieces, lead_cut = model.decode_table
-    ids = list(ids)
-    if ids and (min(ids) < 0 or max(ids) >= len(pieces)):
+    [UNK] drop, and morph segment markers are resolved afterwards.
+
+    The ids are gathered from `model.decode_table` at C level and joined;
+    the range check is one `min` pass for negative ids plus the gather's
+    own bound, and an id out of range raises ValueError naming the first
+    such id. A list or tuple is read as it is; any other iterable is
+    copied into a list first."""
+    pieces, lead_cut, regular = model.decode_table
+    if not isinstance(ids, (list, tuple)):
+        ids = list(ids)
+    if not ids:
+        return ""
+    # One bounds pass: the gather's own lookup rejects an id past the end,
+    # and min the negatives, which a list index wraps.
+    try:
+        text = "".join(itemgetter(*ids)(pieces)) if len(ids) > 1 else pieces[ids[0]]
+    except IndexError:
+        text = None
+    if text is None or min(ids) < 0:
         bad = next(i for i in ids if not 0 <= i < len(pieces))
         raise ValueError(f"token id out of range: {bad}")
-    text = "".join(map(pieces.__getitem__, ids))
     for i in ids:
         if lead_cut[i] is not None:
             text = text[lead_cut[i]:]
             break
     if model.kind == KIND_BPE_MORPH:
-        text = desegment_text(text)
+        text = desegment_text(text, regular=regular)
     return text
 
 
@@ -530,6 +552,10 @@ def _merge_pairs(pairs: list) -> list[tuple[str, str]]:
     return merges
 
 
+_JSON_TYPES = {str: "a string", dict: "an object", int: "a number", float: "a number",
+               bool: "a boolean", type(None): "null"}
+
+
 def load_model(path: str | Path) -> TokenizerModel:
     raw = Path(path).read_bytes()
     data = json.loads(raw.decode("utf-8"))
@@ -546,6 +572,10 @@ def load_model(path: str | Path) -> TokenizerModel:
             f"bundle must use the reserved tokens {list(SPECIALS)} "
             f"and the continuation prefix {CONT_PREFIX!r}"
         )
+    if "vocab" in data and not isinstance(data["vocab"], list):
+        # a string would load as its single letters, an object as its keys
+        raise ModelFormatError(f"model bundle field 'vocab' must be a JSON array, "
+                               f"not {_JSON_TYPES[type(data['vocab'])]}")
     try:
         return TokenizerModel(
             kind=data["kind"],

@@ -344,6 +344,20 @@ def test_a_bad_filter_threshold_is_a_data_error(tmp_path, corpus_path, capsys, c
     assert len(errors) == 1 and flag[2:].replace("-", "_") + " must be" in errors[0]
 
 
+def test_a_bundle_whose_vocab_is_no_array_is_a_data_error(tmp_path, wordlevel_model, capsys,
+                                                         caplog):
+    data = json.loads(wordlevel_model.read_text(encoding="utf-8"))
+    del data["checksum"]
+    data["vocab"] = "".join(data["vocab"])
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    rc, out, err = run(capsys, "decode", "--model", str(path), "--ids", "[5]")
+    assert rc == 2
+    assert out == "" and "Traceback" not in err
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["model bundle field 'vocab' must be a JSON array, not a string"]
+
+
 def test_a_clitic_table_with_a_string_field_is_a_data_error(tmp_path, capsys, caplog):
     path = tmp_path / "clitics.json"
     path.write_text(json.dumps({"proclitics": "وال", "enclitics": "ها"}, ensure_ascii=False),

@@ -445,12 +445,8 @@ def _kill_once_two_workers_run(proc):
 START_METHODS = multiprocessing.get_all_start_methods()
 
 
-# The start-method tests keep the names they had when the pool also
-# counted pre-tokens: they check that compare_grid's training pool gives
-# the grid of workers=1, and leaves no process behind, whatever start
-# method the caller's script sets.
 @pytest.mark.parametrize("method", START_METHODS)
-def test_count_pretokens_workers_count_under_every_start_method(tmp_path, method):
+def test_training_workers_match_one_worker_under_every_start_method(tmp_path, method):
     proc = _run_grid_script(tmp_path, method, 4, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True)
     try:
@@ -464,7 +460,7 @@ def test_count_pretokens_workers_count_under_every_start_method(tmp_path, method
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="lists processes from /proc")
 @pytest.mark.parametrize("method", START_METHODS)
-def test_count_pretokens_workers_exit_when_the_caller_is_killed(tmp_path, method):
+def test_training_workers_exit_with_the_caller_under_every_start_method(tmp_path, method):
     proc = _run_grid_script(tmp_path, method, 20, stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL)
     workers, running, left = _kill_once_two_workers_run(proc)

@@ -153,9 +153,9 @@ def test_table_rejects_a_missing_field_or_a_malformed_entry(data, message):
 @pytest.mark.parametrize("fields, message", [
     ({"proclitics": ["ال"]}, "proclitic must be a [string, bool] pair, not 'ال'"),
     ({"proclitics": (("و", "no"),)},
-     "proclitic must be a string or a [string, bool] pair, not ('و', 'no')"),
+     "proclitic must be a [string, bool] pair, not ('و', 'no')"),
     ({"proclitics": (("و", True, False),)},
-     "proclitic must be a string or a [string, bool] pair, not ('و', True, False)"),
+     "proclitic must be a [string, bool] pair, not ('و', True, False)"),
     ({"enclitics": (5,)}, "enclitic must be a string, not 5"),
 ], ids=["bare-form", "str-stack", "triple", "int-enclitic"])
 def test_a_table_that_exists_is_valid(fields, message):

@@ -501,6 +501,41 @@ def test_decode_rejects_out_of_range_ids():
             decode(model, ids)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_decode_names_the_first_out_of_range_id(decode_models, data):
+    # One bounds pass: min for the negatives, which a list index would
+    # wrap (below -vocab_size too), the gather's lookup for the rest.
+    model = decode_models[data.draw(st.sampled_from(ALL_KINDS))]
+    v = model.vocab_size
+    in_range = st.integers(0, v - 1)
+    out_of_range = st.one_of(st.integers(-3 * v, -1), st.integers(v, 3 * v),
+                             st.integers(v, 2 ** 80))
+    ids = data.draw(st.lists(st.one_of(in_range, out_of_range), max_size=12))
+    ids.insert(data.draw(st.integers(0, len(ids))), data.draw(out_of_range))
+    first = next(i for i in ids if not 0 <= i < v)
+    for given_ids in (ids, tuple(ids), (i for i in ids)):
+        with pytest.raises(ValueError) as exc:
+            decode(model, given_ids)
+        assert str(exc.value) == f"token id out of range: {first}"
+    in_range_ids = [i for i in ids if 0 <= i < v]
+    expected = decode(model, in_range_ids)
+    assert decode(model, tuple(in_range_ids)) == expected
+    assert decode(model, (i for i in in_range_ids)) == expected
+
+
+def test_decode_glues_a_word_start_enclitic_followed_by_a_bare_marker():
+    # "+ه" opens a word and "##+" continues it, so the joined text holds
+    # "+ه+", a token marked at both ends that no single id is: a guard
+    # read off the ids took the replaces and gave "<stem>ه<stem>".
+    stem = "كتاب"
+    vocab = list(SPECIALS) + [stem, "+ه", "##+"]
+    model = TokenizerModel(kind="bpe_morph", vocab=vocab, merges=[],
+                           normalizer=NormalizerConfig(), clitic_table=CliticTable())
+    ids = [5, 6, 7, 5]
+    assert decode(model, ids) == oracle_decode(model, ids) == f"{stem}ه+ {stem}"
+
+
 @pytest.fixture(scope="module")
 def decode_models():
     corpus = docs("والكتاب يتحدثها كثيرا", "وكتب كتاب جديد عن المدينة", "يتحدثها كتاب")
@@ -1059,6 +1094,23 @@ def test_load_rejects_non_string_vocab_entry(tmp_path, trained_models):
     path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
     with pytest.raises(ModelFormatError, match="malformed"):
         load_model(path)
+
+
+@pytest.mark.parametrize("vocab, named", [("[PAD][UNK]", "a string"),
+                                          ({"[PAD]": 0, "[UNK]": 1}, "an object"),
+                                          (5, "a number")],
+                         ids=["string", "object", "number"])
+def test_load_names_a_vocab_that_is_no_json_array(tmp_path, trained_models, vocab, named):
+    # a string or an object failed with "reserved tokens must occupy ids 0-4"
+    path = tmp_path / "m.json"
+    save_model(trained_models[2], path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    del data["checksum"]
+    data["vocab"] = vocab
+    path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    with pytest.raises(ModelFormatError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"model bundle field 'vocab' must be a JSON array, not {named}"
 
 
 def test_load_rejects_a_repeat_cap_above_the_ceiling(tmp_path, trained_models):
