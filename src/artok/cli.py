@@ -7,8 +7,10 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 Path flags can also come from the environment (ARTOK_CORPUS, ARTOK_MODEL,
 ARTOK_OUT, ARTOK_OUT_DIR, ARTOK_CONFIG, ARTOK_CLITIC_TABLE,
 ARTOK_NORMALIZER); explicit flags beat the environment, which beats the
-config file. A variable or config key for a flag the command does not
-take is ignored, so one config file can serve every command.
+config file (--config or ARTOK_CONFIG). Every config value is checked as
+the flag's argument would be, even one whose flag is also given. A
+variable or config key for a flag the command does not take is ignored,
+so one config file can serve every command.
 """
 
 from __future__ import annotations
@@ -59,17 +61,6 @@ class UsageError(Exception):
 
 # path options that may come from the environment when the flag is absent
 _ENV_DESTS = ("corpus", "model", "out", "out_dir", "config", "clitic_table", "normalizer")
-
-
-def _apply_env(args) -> set:
-    filled = set()
-    for dest in _ENV_DESTS:
-        if hasattr(args, dest) and getattr(args, dest) is None:
-            value = os.environ.get("ARTOK_" + dest.upper())
-            if value:
-                setattr(args, dest, value)
-                filled.add(dest)
-    return filled
 
 
 def _required(args, *dests) -> None:
@@ -171,10 +162,11 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="artok", description=__doc__,
                      formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    parser.commands = sub.choices  # command name -> its parser, for _apply_config
+    parser.commands = sub.choices  # command name -> its parser, for main
 
     def add_command(name: str, help_text: str, *shared: str) -> _Parser:
-        # no abbreviated flags: _apply_config finds explicit flags by full name
+        # flags match by full name only, so a new flag never changes what
+        # an existing prefix means
         p = sub.add_parser(name, help=help_text, allow_abbrev=False,
                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.add_argument("--config", default=None, help="JSON config file; explicit flags win")
@@ -250,27 +242,24 @@ def _config_value(action: argparse.Action, key: str, value):
     return value
 
 
-def _apply_config(args, argv: list[str], env_filled: set,
-                  command: argparse.ArgumentParser) -> None:
-    """Merge a JSON config file under the parsed flags; explicit flags win,
-    then environment-supplied paths, then config values. Keys for flags
-    the command does not take are ignored."""
-    if not getattr(args, "config", None):
-        return
-    with open(_require_file(args.config, "config file"), encoding="utf-8") as f:
+def _command_defaults(args, command: argparse.ArgumentParser) -> dict:
+    """The command's defaults: each JSON config value checked by
+    `_config_value`, with the ARTOK_* paths on top. The config file is
+    --config, else ARTOK_CONFIG. Keys and variables for flags the
+    command does not take are ignored."""
+    flags = {a.dest: a for a in command._actions if a.option_strings and hasattr(args, a.dest)}
+    env = {dest: value for dest in _ENV_DESTS
+           if dest in flags and (value := os.environ.get("ARTOK_" + dest.upper()))}
+    path = args.config or env.get("config")
+    if not path:
+        return env
+    with open(_require_file(path, "config file"), encoding="utf-8") as f:
         cfg = json.load(f)
     if not isinstance(cfg, dict):
         raise DataError("config file must hold a JSON object")
-    explicit = set(env_filled)
-    for tok in argv:
-        if tok.startswith("--"):
-            explicit.add(tok[2:].split("=", 1)[0].replace("-", "_"))
-    flags = {a.dest: a for a in command._actions if a.option_strings and hasattr(args, a.dest)}
-    for key, value in cfg.items():
-        dest = key.replace("-", "_")
-        if dest in explicit or dest not in flags:
-            continue
-        setattr(args, dest, _config_value(flags[dest], key, value))
+    defaults = {dest: _config_value(flags[dest], key, value) for key, value in cfg.items()
+                if (dest := key.replace("-", "_")) in flags}
+    return {**defaults, **env}
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +450,6 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     logging.basicConfig(
         stream=sys.stderr, level=logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
@@ -469,8 +457,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        env_filled = _apply_env(args)
-        _apply_config(args, argv, env_filled, parser.commands[args.command])
+        # config, then environment, become defaults under the explicit flags
+        command = parser.commands[args.command]
+        command.set_defaults(**_command_defaults(args, command))
+        args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         sys.stderr.write(f"artok {args.command}: error: {exc}\n")

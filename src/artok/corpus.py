@@ -152,9 +152,11 @@ def load_documents(
 ) -> Iterator[Document]:
     """Stream documents from disk in file order.
 
-    jsonl: one JSON object per line carrying a string "text" field;
-    malformed lines are skipped and counted, not fatal. plain_lines:
-    blank-line separated groups of lines form one document each.
+    jsonl: one JSON object per line with a string "text", a string or
+    integer "id" (default "<file name>:<line>") and a string "source",
+    each of the last two optional or null; malformed lines are skipped
+    and counted, not fatal. plain_lines: blank-line separated groups of
+    lines form one document each.
     """
     path = Path(path)
     if fmt == "jsonl":
@@ -171,22 +173,22 @@ def _load_jsonl(path: Path, stats: IngestStats | None) -> Iterator[Document]:
             if line.isspace():  # file iteration yields no empty line
                 continue
             try:
+                # ValueError also covers an integer too long to parse
                 record = json.loads(line)
-                text = record["text"]
-                if not isinstance(text, str):
-                    raise TypeError("text must be a string")
-            except (json.JSONDecodeError, KeyError, TypeError):
+                text, doc_id, source = record["text"], record.get("id"), record.get("source")
+                if type(doc_id) is int:  # not a bool
+                    doc_id = str(doc_id)
+                if type(text) is not str or not {type(doc_id), type(source)} <= {str, type(None)}:
+                    raise TypeError("text must be a string, id and source strings or null")
+            except (ValueError, KeyError, TypeError):
                 if stats is not None:
                     stats.skipped_malformed += 1
                 log.debug("skipping malformed record %s:%d", path, lineno)
                 continue
             if stats is not None:
                 stats.read += 1
-            yield Document(
-                id=str(record["id"]) if "id" in record else f"{path.name}:{lineno}",
-                text=text,
-                source=record.get("source"),
-            )
+            yield Document(id=f"{path.name}:{lineno}" if doc_id is None else doc_id,
+                           text=text, source=source)
 
 
 def _load_plain(path: Path, stats: IngestStats | None) -> Iterator[Document]:

@@ -49,7 +49,7 @@ from .subword import (
     save_model,
     truncate_model,
 )
-from .trainers import train_from_pretokens
+from .trainers import TRAINER_VERSION, train_from_pretokens
 
 log = logging.getLogger(__name__)
 
@@ -380,10 +380,10 @@ def _train_cell(pretokens, kind, vocab_size, normalizer, clitic_table):
 
 def _inputs_key(train_docs: Sequence[Document], normalizer: NormalizerConfig,
                 clitic_table: CliticTable) -> str:
-    """sha256 over everything a grid cell is made from apart from its
-    kind and size, which its file name holds."""
+    """sha256 over the trainer version and everything a grid cell is made
+    from apart from its kind and size, which its file name holds."""
     digest = hashlib.sha256(json.dumps(
-        [FORMAT_VERSION, normalizer.to_dict(), clitic_table.to_dict()],
+        [FORMAT_VERSION, TRAINER_VERSION, normalizer.to_dict(), clitic_table.to_dict()],
         ensure_ascii=False, sort_keys=True,
     ).encode("utf-8"))
     for doc in train_docs:

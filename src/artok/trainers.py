@@ -40,6 +40,10 @@ log = logging.getLogger(__name__)
 
 MIN_PAIR_FREQ = 2
 
+# In every grid cell's cache key (eval._inputs_key): bump it in any change
+# to what a trainer returns, such as a merge list, so old cells retrain.
+TRAINER_VERSION = 1
+
 _FIRST_CHAR = itemgetter(0)
 
 

@@ -252,15 +252,18 @@ def test_config_file_supplies_missing_values(tmp_path, corpus_path, capsys):
     ("compare", {"threads": "two"}),
     ("compare", {"min_arabic_ratio": True}),
     ("compare", {"threads": 1.5}),
+    # checked even when the flag is also given, though the flag wins
+    ("train --min-chars 50", {"min_chars": 1.5}),
 ])
 def test_config_value_argparse_would_reject_is_a_data_error(
         command, cfg, tmp_path, corpus_path, capsys, caplog):
+    command, *explicit = command.split()
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     out = ["--out", str(tmp_path / "m")] if command == "train" else [
         "--out-dir", str(tmp_path / "grid"), "--kinds", "wordlevel", "--sizes", "200"]
     kind = ["--kind", "wordlevel", "--vocab", "200"] if command == "train" else []
-    rc, out, _ = run(capsys, command, "--corpus", str(corpus_path), *kind, *out,
+    rc, out, _ = run(capsys, command, "--corpus", str(corpus_path), *kind, *out, *explicit,
                      "--config", str(path))
     assert rc == 2
     assert out == ""
@@ -393,6 +396,21 @@ def test_env_var_supplies_model_path(tmp_path, corpus_path, capsys, monkeypatch)
     assert json.loads(out)["word_count"] == 1
 
 
+def test_env_beats_the_config_file_it_may_name_and_flags_beat_both(
+        tmp_path, wordlevel_model, capsys, monkeypatch):
+    missing, output = tmp_path / "missing.json", tmp_path / "out.jsonl"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": str(missing), "output": str(output)}), encoding="utf-8")
+    monkeypatch.setenv("ARTOK_CONFIG", str(cfg))
+    monkeypatch.setenv("ARTOK_MODEL", str(wordlevel_model))
+    rc, out, _ = run(capsys, "encode", "--text", "كتاب")
+    assert rc == 0
+    assert json.loads(out)["output"] == str(output)
+    assert json.loads(output.read_text(encoding="utf-8"))["word_count"] == 1
+    rc, out, _ = run(capsys, "encode", "--text", "كتاب", "--model", str(missing))
+    assert rc == 2 and out == ""
+
+
 def test_missing_required_path_exits_1(capsys):
     rc, _, err = run(capsys, "train", "--kind", "bpe", "--vocab", "100")
     assert rc == 1
@@ -428,7 +446,8 @@ def test_flag_the_command_does_not_read_is_a_usage_error(
 
 
 def test_abbreviated_flag_is_a_usage_error(tmp_path, corpus_path, capsys):
-    # a prefix of --min-chars must not parse, or the config value would win over it
+    # flags match by full name only, so adding a flag never changes what an
+    # existing prefix such as --min-ch means
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"min_chars": 99}), encoding="utf-8")
     with pytest.raises(SystemExit) as exc:

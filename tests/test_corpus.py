@@ -71,12 +71,19 @@ def test_load_jsonl_missing_text_field_is_malformed(tmp_path):
 
 def test_load_jsonl_ids_blank_lines_and_non_object_records(tmp_path):
     path = tmp_path / "c.jsonl"
+    rejected = [  # ids and sources that are checked, not coerced
+        '{"text": "x", "id": 1.0}', '{"text": "x", "id": true}', '{"text": "x", "id": ["x"]}',
+        '{"text": "x", "id": {"n": 1}}', '{"text": "x", "source": 5}',
+        '{"text": "x", "source": ["web"]}', '{"text": "x", "id": %s}' % ("9" * 5000),
+    ]
     path.write_text('{"text": "a", "id": 7}\n \t\n\n[1]\n"text"\n{"text": "b"}\n'
-                    '{"text": "c", "id": null}', encoding="utf-8")
+                    '{"text": "c", "id": null}\n{"text": "d", "id": "", "source": "web"}\n'
+                    + "\n".join(rejected), encoding="utf-8")
     stats = IngestStats()
     docs = list(load_documents(path, "jsonl", stats))
-    assert [d.id for d in docs] == ["7", "c.jsonl:6", "None"]
-    assert stats.summary() == {"read": 3, "kept": 0, "skipped_malformed": 2,
+    assert [d.id for d in docs] == ["7", "c.jsonl:6", "c.jsonl:7", ""]
+    assert [d.source for d in docs] == [None, None, None, "web"]
+    assert stats.summary() == {"read": 4, "kept": 0, "skipped_malformed": 2 + len(rejected),
                                "rejected_by_reason": {}}
 
 

@@ -224,8 +224,9 @@ def _rows_but_speed(report):
     return [{k: v for k, v in asdict(r).items() if k != "words_per_sec"} for r in report.rows]
 
 
-@pytest.mark.parametrize("change", ["corpus", "normalizer", "no key"])
-def test_compare_grid_retrains_a_cache_made_from_other_inputs(small_corpus, tmp_path, change):
+@pytest.mark.parametrize("change", ["corpus", "normalizer", "no key", "trainer"])
+def test_compare_grid_retrains_a_cache_made_from_other_inputs(
+        small_corpus, tmp_path, change, monkeypatch):
     english = docs(*([
         "the new book speaks of the old city",
         "people read the news and the papers every day",
@@ -237,11 +238,17 @@ def test_compare_grid_retrains_a_cache_made_from_other_inputs(small_corpus, tmp_
         corpus, normalizer = small_corpus, NormalizerConfig(remove_diacritics=False)
     elif change == "no key":
         first, corpus = english, small_corpus
+    elif change == "trainer":
+        corpus = small_corpus
     stale = tmp_path / "stale"
     compare_grid(first, kinds=("bpe",), sizes=(40, 60), models_dir=stale)
     if change == "no key":  # a models dir written before cells carried keys
         for key in stale.glob("*.key"):
             key.unlink()
+    if change == "trainer":  # cells cached by another trainer version
+        # a save renames a new file into place, so a rewritten file has a new inode
+        before = {p.name: (p.stat().st_ino, p.read_bytes()) for p in stale.iterdir()}
+        monkeypatch.setattr("artok.eval.TRAINER_VERSION", artok.eval.TRAINER_VERSION + 1)
     reused = compare_grid(corpus, kinds=("bpe",), sizes=(40, 60), normalizer=normalizer,
                           models_dir=stale)
     fresh = compare_grid(corpus, kinds=("bpe",), sizes=(40, 60), normalizer=normalizer,
@@ -249,6 +256,10 @@ def test_compare_grid_retrains_a_cache_made_from_other_inputs(small_corpus, tmp_
     assert _rows_but_speed(reused) == _rows_but_speed(fresh)
     assert [r.unk_rate for r in reused.rows] == [0.0, 0.0]
     assert _grid_files(stale) == _grid_files(tmp_path / "fresh")
+    if change == "trainer":
+        for cell in ("bpe_40", "bpe_60"):
+            assert (stale / f"{cell}.json").stat().st_ino != before[f"{cell}.json"][0]
+            assert (stale / f"{cell}.key").read_bytes() != before[f"{cell}.key"][1]
 
 
 def test_compare_grid_workers_train_the_same_grid(small_corpus, tmp_path, caplog):

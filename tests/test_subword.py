@@ -38,6 +38,7 @@ from artok.subword import (
     merge_output,
     truncate_model,
 )
+from artok.synth import build_corpus
 from artok.trainers import _check_pretokens, train_from_pretokens
 
 from oracles import (
@@ -406,6 +407,56 @@ def test_merge_engine_stays_consistent_with_a_full_recount(kind, words):
     _assert_engine_consistent(engine)
     selector = (trainers._BpeSelector if kind == "bpe" else trainers._WordPieceSelector)
     trainers._run_merge_loop(engine, selector(engine, trainers.MIN_PAIR_FREQ), size)
+
+
+# ---------------------------------------------------------------------------
+# a trained model depends only on its inputs
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    counts=st.dictionaries(
+        st.text(alphabet="abكتا+#", min_size=1, max_size=6),
+        st.integers(min_value=1, max_value=9),
+        min_size=1,
+        max_size=30,
+    ),
+    extra=st.integers(min_value=0, max_value=30),
+    data=st.data(),
+)
+def test_training_ignores_the_order_of_the_counts(counts, extra, data):
+    shuffled = dict(data.draw(st.permutations(list(counts.items()))))
+    size = len(SPECIALS) + len({s for w in counts for s in word_symbols(w)}) + extra
+    for kind in ALL_KINDS:
+        model = train_from_pretokens(counts, kind, size, clitic_table=CliticTable())
+        assert train_from_pretokens(shuffled, kind, size, clitic_table=CliticTable()) == model
+
+
+def test_training_ignores_the_hash_seed(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    build_corpus(corpus, target_bytes=40_000, seed=3, n_stems=300)
+    script = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from artok.corpus import load_documents\n"
+        "from artok.eval import train_model\n"
+        "from artok.subword import ALL_KINDS, save_model\n"
+        "docs = list(load_documents(sys.argv[1]))\n"
+        "for kind in ALL_KINDS:\n"
+        "    save_model(train_model(docs, kind, 400), Path(sys.argv[2]) / f'{kind}.json')\n"
+    )
+    src = str(Path(subword.__file__).parents[1])
+    for seed in ("0", "1"):
+        (tmp_path / seed).mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script, str(corpus), str(tmp_path / seed)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    for kind in ALL_KINDS:
+        bundle = (tmp_path / "0" / f"{kind}.json").read_bytes()
+        assert bundle == (tmp_path / "1" / f"{kind}.json").read_bytes(), kind
+        assert len(json.loads(bundle)["vocab"]) == 400, kind
 
 
 # ---------------------------------------------------------------------------
